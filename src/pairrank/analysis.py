@@ -248,7 +248,7 @@ def _simulate_range(cfg: SimulationConfig, start: int, stop: int) -> dict:
         except TieDetected:
             degenerate += 1
             continue
-        except NoConvergence:
+        except (NoConvergence, InvalidMatrix):
             failures += 1
             continue
         for pair in METHOD_PAIRS:
@@ -267,8 +267,10 @@ def monte_carlo_disagreement(cfg: SimulationConfig, jobs: int = 1) -> Disagreeme
     Each trial draws noise from a generator keyed by (seed, trial index),
     adds it to the strongly transitive signal built from cfg.true_scores,
     and compares the three rankings.  Trials where any method ties are
-    tallied as degenerate and excluded from the rate denominators.  The
-    keyed streams make the report identical for any jobs value.
+    tallied as degenerate, and trials where a solver fails or the matrix
+    leaves float range are tallied as failures; both are excluded from the
+    rate denominators.  The keyed streams make the report identical for any
+    jobs value.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least one")

@@ -339,7 +339,8 @@ def to_multiplicative(a: ComparisonMatrix, base: float = math.e) -> ComparisonMa
         raise InvalidMatrix("exponent base must be positive and different from one")
     if a.scale is Scale.MULTIPLICATIVE:
         return a
-    powers = np.power(base, a.entries)
+    with np.errstate(over="ignore"):
+        powers = np.power(base, a.entries)
     if not np.all(np.isfinite(powers)):
         raise InvalidMatrix("exponentiation overflowed; rescale the additive matrix first")
     return ComparisonMatrix(_mirror_multiplicative(powers), Scale.MULTIPLICATIVE)

@@ -7,6 +7,8 @@ the L2 projection onto each part, and, for n = 4, exact rational formulas
 for the tropical eigenvalue and eigenvector by region of the cycle space,
 together with a classifier that reduces any generic 4-by-4 matrix to one of
 two canonical regions by relabeling items.
+Region selection and the closed form are written once, batch-first; the
+scalar entry points pass a stack of one matrix.
 """
 
 from __future__ import annotations
@@ -22,12 +24,8 @@ from .core import (
     Scale,
     ScoreVector,
     UpperTriangleVector,
-    matrix_from_upper_triangle,
     pair_index,
-    perm_identity,
     perm_inverse,
-    permute_scores,
-    relabel,
     strongly_transitive_from_scores,
     upper_triangle,
 )
@@ -207,15 +205,6 @@ class Region4:
     coeff_num: tuple[tuple[int, int, int], ...]
     lam_num: tuple[int, int, int]
 
-    def contains(self, f: np.ndarray, margin: float = 0.0) -> bool:
-        return bool(np.all(np.asarray(self.inequalities) @ f > margin))
-
-    def eigenvalue(self, f: np.ndarray) -> float:
-        return float(np.asarray(self.lam_num) @ f) / 12.0
-
-    def eigenvector_offset(self, f: np.ndarray) -> np.ndarray:
-        return np.asarray(self.coeff_num) @ f / 12.0
-
 
 CANONICAL_R1 = Region4(
     name="r1",
@@ -252,8 +241,15 @@ _CANONICAL_REGIONS = (CANONICAL_R1, CANONICAL_GREEN)
 _ST_REL_TOL = 1e-11
 
 
-def _relabel_action() -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """All 24 relabelings with their induced linear maps on f-products.
+_IU, _JU = np.triu_indices(4, k=1)
+_FROWS = np.array([f.coords.coords for f in f_basis4()])
+_PERMS4 = tuple(itertools.permutations(range(1, 5)))
+_PERM_IDX = np.array(_PERMS4) - 1   # row t holds tau(i) - 1 for the t-th relabeling tau
+_INV_IDX = np.argsort(_PERM_IDX, axis=1)
+
+
+def _relabel_action() -> np.ndarray:
+    """The linear maps that the 24 relabelings induce on f-products.
 
     Relabeling items by tau transforms the f-products linearly:
     f_products4(relabel(A, tau)) = M_tau @ f_products4(A).  Each M_tau is a
@@ -261,22 +257,17 @@ def _relabel_action() -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     basis vectors in the f-basis (exact, since the f's are orthogonal with
     squared norm 4).
     """
-    fs = f_basis4()
-    mats = [matrix_from_upper_triangle(f.coords) for f in fs]
-    perms = tuple(itertools.permutations(range(1, 5)))
-    stack = np.empty((24, 3, 3))
-    for t_idx, tau in enumerate(perms):
-        inv = perm_inverse(tau)
-        for k in range(3):
-            pulled = upper_triangle(relabel(mats[k], inv)).coords
-            for l in range(3):
-                stack[t_idx, k, l] = (fs[l].coords.coords @ pulled) / 4.0
+    f_mats = np.zeros((3, 4, 4))
+    f_mats[:, _IU, _JU], f_mats[:, _JU, _IU] = _FROWS, -_FROWS
+    # pulled[t, k]: upper triangle of relabel(F_k, tau^-1), which is F_k[tau(a), tau(b)]
+    pulled = f_mats[:, _PERM_IDX[:, _IU], _PERM_IDX[:, _JU]].transpose(1, 0, 2)
+    stack = pulled @ _FROWS.T / 4.0
     if not np.array_equal(stack, np.round(stack)):
         raise RuntimeError("relabel action on f-products is not integral")
-    return perms, stack
+    return stack
 
 
-_PERMS4, _MSTACK = _relabel_action()
+_MSTACK = _relabel_action()
 
 
 @dataclass(frozen=True)
@@ -289,39 +280,83 @@ class RegionMatch:
     f_canonical: np.ndarray
 
 
+# each region's inequalities, padded to five rows by repeating the last one
+_INEQS = np.array([r.inequalities + r.inequalities[-1:] * (5 - len(r.inequalities))
+                   for r in _CANONICAL_REGIONS], dtype=float).reshape(10, 3)
+# per region: eigenvector offset numerators in rows 0-3, eigenvalue numerators in row 4
+_FORMULAS = np.array([r.coeff_num + (r.lam_num,) for r in _CANONICAL_REGIONS], dtype=float)
+
+
+def _select_regions(a: np.ndarray, margin: float):
+    """Region selection for a stack of 4-by-4 additive matrices.
+
+    Returns (f, g, slack, clean, scale, transitive): the f-products, their
+    images g = M_tau @ f, the worst inequality value per (relabeling, region)
+    pair in relabeling-major order, the pairs that clear margin * scale, the
+    max-norm of the cycle part, and the numerically strongly transitive rows.
+    """
+    h = a.sum(axis=2) / 4.0
+    h = h - h.mean(axis=1, keepdims=True)
+    scale = np.abs(a - (h[:, :, None] - h[:, None, :])).max(axis=(1, 2))
+    transitive = scale <= _ST_REL_TOL * np.abs(a).max(axis=(1, 2))
+
+    # an elementwise sum, which rounds alike for every batch size
+    f = (a[:, _IU, _JU, None] * _FROWS.T).sum(axis=1)
+    g = np.einsum("tkl,bl->btk", _MSTACK, f)
+    slack = (g @ _INEQS.T).reshape(-1, 24, 2, 5).min(axis=3).reshape(-1, 48)
+    clean = slack > (margin * scale)[:, None]
+    return f, g, slack, clean, scale, transitive
+
+
 def classify_region4(m: ComparisonMatrix, margin: float = 1e-7) -> RegionMatch:
     """Find the canonical region and relabeling for a generic 4-by-4 matrix.
 
-    The margin is relative to the max-norm of the cycle part; inputs within
-    margin of a region wall raise BoundaryCase instead of picking a side.
+    The first relabeling (in lexicographic order) that puts the matrix in a
+    canonical region wins.  The margin is relative to the max-norm of the
+    cycle part; inputs within margin of a region wall raise BoundaryCase
+    instead of picking a side.
     """
     if m.scale is not Scale.ADDITIVE:
         raise InvalidMatrix("classification is defined on the additive scale")
     if m.n != 4:
         raise InvalidMatrix("the region catalog covers n=4 only")
-    _, r = project_components(m)
-    scale = float(np.max(np.abs(r.entries)))
-    if scale <= _ST_REL_TOL * float(np.max(np.abs(m.entries))):
+    f, g, slack, clean, scale, transitive = _select_regions(m.entries[None], margin)
+    if transitive[0]:
         # numerically strongly transitive: every wall passes through the origin
         raise BoundaryCase(0.0)
-    cut = margin * scale
-
-    f = f_products4(m)
-    g_all = _MSTACK @ f
-    best_near = -np.inf
-    for t_idx, tau in enumerate(_PERMS4):
-        g = g_all[t_idx]
-        for region in _CANONICAL_REGIONS:
-            vals = np.asarray(region.inequalities) @ g
-            lo = float(vals.min())
-            if lo > cut:
-                return RegionMatch(region, tau, f, g)
-            if lo > -cut:
-                best_near = max(best_near, lo)
-    if best_near > -np.inf:
+    if clean[0].any():
+        tau_idx, region_idx = divmod(int(clean[0].argmax()), 2)
+        return RegionMatch(_CANONICAL_REGIONS[region_idx], _PERMS4[tau_idx], f[0], g[0, tau_idx])
+    best_near, scale = float(slack[0].max()), float(scale[0])
+    if best_near > -margin * scale:
         raise BoundaryCase(best_near / scale)
     raise RegionNotFound(
         "no canonical region matched; the catalog should cover all generic matrices")
+
+
+def _closed_form_batch(a: np.ndarray, margin: float = 1e-7) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs for a stack of 4-by-4 additive matrices.
+
+    Returns (eigenvalues, sum-zero eigenvectors, skipped): rows flagged in
+    ``skipped`` fell within the boundary margin (or were numerically strongly
+    transitive) and carry NaN results.  Every other matrix A is relabeled by
+    its match's tau into Y, Region4's formulas are evaluated on Y, and the
+    eigenvector is mapped back to A's labels.
+    """
+    a = np.asarray(a, dtype=float)
+    _, g, _, clean, _, transitive = _select_regions(a, margin)
+    skipped = ~clean.any(axis=1) | transitive
+    rows = np.arange(a.shape[0])
+    tau_idx, region_idx = np.divmod(clean.argmax(axis=1), 2)
+    num = (_FORMULAS[region_idx] @ g[rows, tau_idx, :, None])[:, :, 0] / 12.0
+
+    inv = _INV_IDX[tau_idx]
+    h = a[rows[:, None, None], inv[:, :, None], inv[:, None, :]].sum(axis=2) / 4.0
+    vec = h - h.mean(axis=1, keepdims=True) + num[:, :4]
+    vec = (vec - vec.mean(axis=1, keepdims=True))[rows[:, None], _PERM_IDX[tau_idx]]
+    lam = np.where(skipped, np.nan, num[:, 4])
+    vec = np.where(skipped[:, None], np.nan, vec)
+    return lam, vec, skipped
 
 
 def tropical_closed_form4(m: ComparisonMatrix, margin: float = 1e-7) -> TropicalSolution:
@@ -337,73 +372,17 @@ def tropical_closed_form4(m: ComparisonMatrix, margin: float = 1e-7) -> Tropical
     if m.n != 4:
         raise InvalidMatrix("the closed form covers n=4 only")
     _, r = project_components(m)
-    scale = float(np.max(np.abs(m.entries)))
-    if float(np.max(np.abs(r.entries))) <= _ST_REL_TOL * scale:
-        h = hodge_scores(m)
+    if float(np.max(np.abs(r.entries))) <= _ST_REL_TOL * float(np.max(np.abs(m.entries))):
         edges = frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j)
-        return TropicalSolution(0.0, h, frozenset(range(1, 5)), edges, 1, True)
+        return TropicalSolution(0.0, hodge_scores(m), frozenset(range(1, 5)), edges, 1, True)
 
     match = classify_region4(m, margin=margin)
-    region, tau, g = match.region, match.tau, match.f_canonical
-    y = relabel(m, tau)
-    m_y = hodge_scores(y).values + region.eigenvector_offset(g)
-    vec = permute_scores(
-        ScoreVector(m_y - m_y.mean(), Scale.ADDITIVE, Normalization.SUM_ZERO),
-        perm_inverse(tau))
-
-    inv = perm_inverse(tau)
-    cycle = tuple(inv[v - 1] for v in region.critical_cycle)
+    lam, vec, _ = _closed_form_batch(m.entries[None], margin)
+    inv = perm_inverse(match.tau)
+    cycle = tuple(inv[v - 1] for v in match.region.critical_cycle)
     edges = frozenset(zip(cycle, cycle[1:] + cycle[:1]))
-    return TropicalSolution(region.eigenvalue(g), vec, frozenset(cycle), edges, 1, True)
-
-
-_FROWS = np.array([f.coords.coords for f in f_basis4()])
-_PERM_IDX = np.array(_PERMS4, dtype=int) - 1
-_INEQS = tuple(np.asarray(r.inequalities, dtype=float) for r in _CANONICAL_REGIONS)
-_COEFFS = tuple(np.asarray(r.coeff_num, dtype=float) for r in _CANONICAL_REGIONS)
-_LAMS = tuple(np.asarray(r.lam_num, dtype=float) for r in _CANONICAL_REGIONS)
-
-
-def _closed_form_batch(a: np.ndarray, margin: float = 1e-7) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs for a stack of 4-by-4 additive matrices.
-
-    Returns (eigenvalues, sum-zero eigenvectors, skipped): rows flagged in
-    ``skipped`` fell within the boundary margin (or were numerically strongly
-    transitive) and carry NaN results. Vectorized twin of
-    tropical_closed_form4 for large agreement sweeps.
-    """
-    a = np.asarray(a, dtype=float)
-    b = a.shape[0]
-    h = a.sum(axis=2) / 4.0
-    r = a - (h[:, :, None] - h[:, None, :])
-    r_scale = np.max(np.abs(r), axis=(1, 2))
-    a_scale = np.max(np.abs(a), axis=(1, 2))
-    cut = margin * r_scale
-
-    iu, ju = np.triu_indices(4, k=1)
-    f = a[:, iu, ju] @ _FROWS.T
-    g = np.einsum("tkl,bl->btk", _MSTACK, f)
-
-    # worst inequality slack per (matrix, relabeling, region), region-minor order
-    lo = np.stack([np.min(g @ q.T, axis=2) for q in _INEQS], axis=2).reshape(b, 48)
-    clean = lo > cut[:, None]
-    found = clean.any(axis=1)
-    skipped = ~found | (r_scale <= _ST_REL_TOL * a_scale)
-
-    choice = np.argmax(clean, axis=1)
-    tau_idx, region_idx = choice // 2, choice % 2
-    g_hit = np.take_along_axis(g, tau_idx[:, None, None], axis=1)[:, 0, :]
-
-    offs = np.stack([g_hit @ c.T / 12.0 for c in _COEFFS], axis=1)
-    off = np.take_along_axis(offs, region_idx[:, None, None], axis=1)[:, 0, :]
-    lams = np.stack([g_hit @ l / 12.0 for l in _LAMS], axis=1)
-    lam = np.take_along_axis(lams, region_idx[:, None], axis=1)[:, 0]
-
-    vec = h + np.take_along_axis(off, _PERM_IDX[tau_idx], axis=1)
-    vec = vec - vec.mean(axis=1, keepdims=True)
-    lam = np.where(skipped, np.nan, lam)
-    vec = np.where(skipped[:, None], np.nan, vec)
-    return lam, vec, skipped
+    vec = ScoreVector(vec[0], Scale.ADDITIVE, Normalization.SUM_ZERO)
+    return TropicalSolution(float(lam[0]), vec, frozenset(cycle), edges, 1, True)
 
 
 # -- the projected cube --------------------------------------------------------

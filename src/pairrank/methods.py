@@ -8,7 +8,9 @@
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
-  the critical-cycle structure that controls its uniqueness.
+  the critical-cycle structure that controls its uniqueness. Critical vertices
+  i, j share a class when B*[i][j] + B*[j][i] = 0. One batch-first kernel
+  serves every tropical entry point; the scalar ones pass a stack of one.
 """
 
 from __future__ import annotations
@@ -138,25 +140,53 @@ def _log_power_iteration(log_x: np.ndarray, tol: float = 1e-12,
 # -- tropical (max-plus) eigenproblem ----------------------------------------
 
 
+def _karp_batch(a: np.ndarray) -> np.ndarray:
+    """Maximum cycle mean of each matrix in a stack, by Karp's recurrence.
+
+    D[k][v] is the best weight of a length-k walk from a fixed source, and the
+    answer is max_v min_k (D[n][v] - D[k][v]) / (n - k); O(n^3) per matrix.
+    """
+    b, n = a.shape[0], a.shape[1]
+    d = np.full((b, n + 1, n), -np.inf)
+    d[:, 0, 0] = 0.0
+    for k in range(n):
+        d[:, k + 1] = (d[:, k, :, None] + a).max(axis=1)
+    # d[n] is finite everywhere (complete graph); d[k] may hold -inf for k=0,
+    # which makes the quotient +inf and drops out of the inner minimum.
+    with np.errstate(invalid="ignore"):
+        quotients = (d[:, n, None] - d[:, :n]) / np.arange(n, 0, -1)[:, None]
+    return quotients.min(axis=1).max(axis=1)
+
+
+def _tropical_kernel(a: np.ndarray, edge_tol: float):
+    """Karp, Kleene star and critical edges for a stack: (lambda, vector, star, mask)."""
+    lam = _karp_batch(a)
+    b, n = a.shape[0], a.shape[1]
+    shifted = a - lam[:, None, None]
+    star = shifted.copy()
+    for k in range(n):
+        np.maximum(star, star[:, :, k, None] + star[:, k, None, :], out=star)
+    diagonal = star.reshape(b, n * n)[:, ::n + 1]
+    np.maximum(diagonal, 0.0, out=diagonal)
+
+    crit = shifted + star.transpose(0, 2, 1) >= -edge_tol
+    crit.reshape(b, n * n)[:, ::n + 1] = False
+    anchor = (crit.any(axis=2) | crit.any(axis=1)).argmax(axis=1)
+    vec = star[np.arange(b), :, anchor]
+    return lam, vec - vec.sum(axis=1, keepdims=True) / n, star, crit
+
+
+def _tropical_batch(a: np.ndarray, edge_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue and sum-zero eigenvector for a stack of additive matrices."""
+    return _tropical_kernel(np.asarray(a, dtype=float), edge_tol)[:2]
+
+
 def tropical_eigenvalue(m: ComparisonMatrix) -> float:
     """Maximum mean weight over directed cycles, by Karp's recurrence.
 
     Multiplicative input is moved to the additive scale (natural log) first.
-    Runs in O(n^3): D[k][v] is the best weight of a length-k walk from a
-    fixed source, and the answer is max_v min_k (D[n][v] - D[k][v]) / (n - k).
     """
-    a = to_additive(m).entries
-    n = a.shape[0]
-    d = np.full((n + 1, n), -np.inf)
-    d[0, 0] = 0.0
-    for k in range(1, n + 1):
-        d[k] = np.max(d[k - 1][:, None] + a, axis=0)
-    lengths = n - np.arange(n)
-    # d[n] is finite everywhere (complete graph); d[k] may hold -inf for k=0,
-    # which makes the quotient +inf and drops out of the inner minimum.
-    with np.errstate(invalid="ignore"):
-        quotients = (d[n][None, :] - d[:n]) / lengths[:, None]
-    return float(np.max(np.min(quotients, axis=0)))
+    return float(_karp_batch(to_additive(m).entries[None])[0])
 
 
 @dataclass(frozen=True)
@@ -171,135 +201,46 @@ class TropicalSolution:
     unique: bool
 
 
-def _kleene_star(b: np.ndarray) -> np.ndarray:
-    """Max-plus Kleene star: best path weight for every ordered pair.
-
-    Requires no positive-mean cycle (true once the eigenvalue is subtracted).
-    Floyd-Warshall over the max-plus semiring, then zero diagonal for the
-    empty path.
-    """
-    d = b.copy()
-    n = d.shape[0]
-    for k in range(n):
-        d = np.maximum(d, d[:, k:k + 1] + d[k:k + 1, :])
-    np.fill_diagonal(d, np.maximum(np.diagonal(d), 0.0))
-    return d
-
-
-def _scc_count_with_edges(n: int, edges: list[tuple[int, int]]) -> int:
-    """Strongly connected components of an edge list that contain an edge."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        radj[j].append(i)
-    seen = [False] * n
-    order: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        seen[start] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    comp = [-1] * n
-    label = 0
-    for start in reversed(order):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = label
-        while stack:
-            node = stack.pop()
-            for nxt in radj[node]:
-                if comp[nxt] < 0:
-                    comp[nxt] = label
-                    stack.append(nxt)
-        label += 1
-    with_edges = {comp[i] for i, j in edges if comp[i] == comp[j]}
-    return len(with_edges)
-
-
 def tropical_solve(m: ComparisonMatrix, edge_tol: float = 1e-9) -> TropicalSolution:
     """Solve the max-plus eigenproblem A (x) v = lambda (x) v.
 
     Computes the eigenvalue with Karp's recurrence, shifts it out, and takes
     the Kleene star B* of the shifted matrix. An edge (i, j) is critical when
-    B[i][j] + B*[j][i] vanishes (within edge_tol); critical edges decompose
-    into strongly connected classes, and the eigenvector is unique up to an
+    B[i][j] + B*[j][i] vanishes (within edge_tol). Critical vertices i and j
+    share a class exactly when B*[i][j] + B*[j][i] vanishes (Butkovic,
+    Max-linear Systems, ch. 4), and the eigenvector is unique up to an
     additive constant exactly when there is a single class. The returned
     eigenvector is the B* column at the smallest critical vertex, sum-zero
     normalized. Vertices and edges are reported 1-based.
     """
-    a = to_additive(m).entries
-    n = a.shape[0]
-    lam = tropical_eigenvalue(m)
-    b = a - lam
-    star = _kleene_star(b)
-    closed = b + star.T  # closed[i, j]: best closed-walk weight through edge (i, j)
-    crit = closed >= -edge_tol
-    np.fill_diagonal(crit, False)
-    edges0 = [(int(i), int(j)) for i, j in zip(*np.nonzero(crit))]
-    vertices0 = sorted({i for e in edges0 for i in e})
-    if not vertices0:
-        # cannot happen for a skew-symmetric matrix (every 2-cycle has mean
-        # zero when lambda is zero), but keep the failure loud
+    lam, vec, star, crit = _tropical_kernel(to_additive(m).entries[None], edge_tol)
+    if not crit.any():  # rounding at large scales can leave no edge within edge_tol
         raise InvalidMatrix("no critical cycle found; eigenvalue shift is inconsistent")
-    classes = _scc_count_with_edges(n, edges0)
-    anchor = vertices0[0]
-    vec = star[:, anchor]
-    vec = vec - vec.mean()
-    return TropicalSolution(
-        eigenvalue=lam,
-        eigenvector=ScoreVector(vec, Scale.ADDITIVE, Normalization.SUM_ZERO),
-        critical_vertices=frozenset(v + 1 for v in vertices0),
-        critical_edges=frozenset((i + 1, j + 1) for i, j in edges0),
-        critical_class_count=classes,
-        unique=classes == 1,
-    )
+    vec = ScoreVector(vec[0], Scale.ADDITIVE, Normalization.SUM_ZERO)
+    return _LazyTropicalSolution(float(lam[0]), vec, star[0], crit[0], edge_tol)
 
 
-def _tropical_batch(a: np.ndarray, edge_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue and sum-zero eigenvector for a stack of additive matrices.
+class _LazyTropicalSolution(TropicalSolution):
+    """A tropical_solve result that builds its critical structure on first read.
 
-    Same algorithm as tropical_solve (Karp, then the Kleene star column at
-    the smallest critical vertex) vectorized over the leading axis, without
-    the critical-class bookkeeping. Intended for large agreement sweeps.
+    Monte Carlo runs never read it, and it costs a fifth of a 4-by-4 solve.
     """
-    a = np.asarray(a, dtype=float)
-    b, n = a.shape[0], a.shape[1]
-    d = np.full((b, n + 1, n), -np.inf)
-    d[:, 0, 0] = 0.0
-    for k in range(1, n + 1):
-        d[:, k] = np.max(d[:, k - 1][:, :, None] + a, axis=1)
-    lengths = (n - np.arange(n)).astype(float)
-    quotients = (d[:, n][:, None, :] - d[:, :n]) / lengths[None, :, None]
-    lam = np.max(np.min(quotients, axis=1), axis=1)
 
-    shifted = a - lam[:, None, None]
-    star = shifted.copy()
-    for k in range(n):
-        star = np.maximum(star, star[:, :, k, None] + star[:, k, None, :])
-    idx = np.arange(n)
-    star[:, idx, idx] = np.maximum(star[:, idx, idx], 0.0)
+    def __init__(self, eigenvalue, eigenvector, star, crit, edge_tol):
+        vars(self).update(eigenvalue=eigenvalue, eigenvector=eigenvector, _pending=(star, crit, edge_tol))
 
-    closed = shifted + star.transpose(0, 2, 1)
-    crit = closed >= -edge_tol
-    crit[:, idx, idx] = False
-    on_cycle = crit.any(axis=2) | crit.any(axis=1)
-    anchor = np.argmax(on_cycle, axis=1)
-    vec = star[np.arange(b)[:, None], idx[None, :], anchor[:, None]]
-    return lam, vec - vec.mean(axis=1, keepdims=True)
+    def __getattr__(self, name):
+        if name not in ("critical_vertices", "critical_edges", "critical_class_count", "unique"):
+            raise AttributeError(name)
+        star, crit, edge_tol = self._pending
+        on = crit.any(axis=1) | crit.any(axis=0)
+        # each class is named by its smallest critical vertex
+        classes = len(set(((star + star.T >= -edge_tol) & on).argmax(axis=1)[on].tolist()))
+        i, j = np.nonzero(crit)
+        vars(self).update(critical_vertices=frozenset((np.flatnonzero(on) + 1).tolist()),
+                          critical_edges=frozenset(zip((i + 1).tolist(), (j + 1).tolist())),
+                          critical_class_count=classes, unique=classes == 1)
+        return vars(self)[name]
 
 
 def tropical_scores_multiplicative(x: ComparisonMatrix, base: float = math.e) -> ScoreVector:

@@ -256,8 +256,8 @@ def test_criterion_05_karp_matches_exhaustive_cycles():
     """Karp's maximum mean cycle is exact against brute-force enumeration.
 
     10,000 seeded random matrices for each n in {3, 4, 5, 6}; agreement
-    within 1e-12.  The scalar solver is spot-checked against the batch
-    twin on a subsample.
+    within 1e-12.  The scalar entry point (a batch of one) is spot-checked
+    against the batch on a subsample.
     """
     rng = np.random.default_rng(5)
     for n in (3, 4, 5, 6):

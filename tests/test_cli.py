@@ -206,6 +206,17 @@ def test_simulate_with_signal_and_stperp_noise(capsys):
     assert report["degenerate"] + report["failures"] + report["effective"] == 80
 
 
+def test_simulate_overflowing_trials_count_as_failures():
+    # at sd 1e6 exponentiating a trial for the Perron method overflows
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairrank.cli", "simulate", "--n", "5",
+         "--trials", "50", "--sd", "1e6"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["failures"] > 0
+    assert proc.stderr == ""
+
+
 # -- trajectory ----------------------------------------------------------------
 
 

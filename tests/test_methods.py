@@ -159,6 +159,20 @@ def test_tropical_critical_edges_attain_eigenvalue(rand_add):
         v for edge in sol.critical_edges for v in edge)
 
 
+def test_tropical_two_critical_classes():
+    # two disjoint 3-cycles 1->2->3->1 and 4->5->6->4, each of mean weight 1
+    a = np.zeros((6, 6))
+    edges = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
+    for i, j in edges:
+        a[i - 1, j - 1], a[j - 1, i - 1] = 1.0, -1.0
+    sol = tropical_solve(ComparisonMatrix(a, Scale.ADDITIVE))
+    assert sol.eigenvalue == pytest.approx(1.0, abs=1e-12)
+    assert sol.critical_edges == frozenset(edges)
+    assert sol.critical_vertices == frozenset(range(1, 7))
+    assert sol.critical_class_count == 2
+    assert not sol.unique
+
+
 def test_tropical_constant_on_transitive_matrix():
     s = ScoreVector(np.array([1.5, 0.5, -0.5, -1.5]), Scale.ADDITIVE)
     sol = tropical_solve(strongly_transitive_from_scores(s))
