@@ -5,7 +5,10 @@ Hadamard powers X^(k) across a k-grid, which interpolates between the
 small-k regime and the tropical limit.  The Monte Carlo study estimates how
 often the three methods disagree on noisy comparison matrices under seeded,
 trial-indexed randomness, so results are reproducible and identical whether
-trials run serially or in a process pool.
+trials run serially or in a process pool.  It solves its trials in stacked
+chunks: each method runs once per stack through the batch kernels that the
+scalar entry points (principal_scores, tropical_solve, rank_of, kendall_tau)
+call as batches of one, so every trial gets the scalar path's exact bits.
 """
 
 from __future__ import annotations
@@ -18,23 +21,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _RECIPROCITY_EXACT,
     ComparisonMatrix,
     Ranking,
     Scale,
     ScoreVector,
+    _mirror_multiplicative,
+    _rank_rows,
+    _reciprocity_defect,
     rank_of,
     strongly_transitive_from_scores,
     to_additive,
-    to_multiplicative,
 )
 from .errors import InvalidMatrix, NoConvergence, TieDetected
 from .geometry import threecycle_basis
 from .methods import (
     _log_power_iteration,
-    hodge_scores,
+    _perron_batch,
+    _tropical_kernel,
     principal_scores,
     tropical_eigenvalue,
-    tropical_solve,
+    tropical_solve,  # noqa: F401  (bench/test_bench.py traces this module attribute)
 )
 
 __all__ = [
@@ -61,21 +68,34 @@ def consistency_index(x: ComparisonMatrix) -> float:
     """
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("the consistency index is defined for multiplicative matrices")
-    lam = principal_scores(x).eigenvalue
-    return (lam - x.n) / (x.n - 1)
+    return _consistency(principal_scores(x).eigenvalue, x.n)
+
+
+def _consistency(lam: float, n: int) -> float:
+    """The consistency index of an n-item matrix with Perron eigenvalue lam."""
+    return (lam - n) / (n - 1)
+
+
+def _kendall_rows(orders) -> np.ndarray:
+    """Kendall distance between matching best-first orders in orders[0] and orders[1].
+
+    Each of the two is one order or a stack of them; items may be labelled
+    0..n-1 or 1..n, as long as both agree. Counts the item pairs whose
+    relative order differs.
+    """
+    pos = np.argsort(orders, axis=-1)   # each item's place in its order
+    d = pos[..., :, None] - pos[..., None, :]
+    return np.add.reduce(d[0] * d[1] < 0, (-2, -1)) // 2
 
 
 def kendall_tau(r1: Ranking, r2: Ranking) -> int:
-    """Number of item pairs the two rankings order oppositely."""
+    """Number of item pairs the two rankings order oppositely.
+
+    A batch of one for the distance the Monte Carlo study takes row-wise.
+    """
     if r1.n != r2.n:
         raise ValueError(f"rankings order {r1.n} and {r2.n} items")
-    pos1 = {item: p for p, item in enumerate(r1.order)}
-    pos2 = {item: p for p, item in enumerate(r2.order)}
-    return sum(
-        1
-        for a, b in itertools.combinations(range(1, r1.n + 1), 2)
-        if (pos1[a] - pos1[b]) * (pos2[a] - pos2[b]) < 0
-    )
+    return int(_kendall_rows((r1.order, r2.order)))
 
 
 # -- Hadamard power trajectories ----------------------------------------------
@@ -158,8 +178,17 @@ class GaussianUpperTriangle:
             raise ValueError("sd must be positive")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        g = np.triu(rng.normal(0.0, self.sd, size=(n, n)), 1)
-        return g - g.T
+        variates, shape = self._sampler(n)
+        return shape(variates(rng)[None])[0]
+
+    def _sampler(self, n: int):
+        """(variates, shape): one trial's random numbers from its generator,
+        and the noise matrices of a stack of those."""
+        def shape(z: np.ndarray) -> np.ndarray:
+            g = np.triu(z, 1)
+            return g - np.swapaxes(g, 1, 2)
+
+        return (lambda rng: rng.normal(0.0, self.sd, size=(n, n))), shape
 
 
 @dataclass(frozen=True)
@@ -173,13 +202,21 @@ class UniformSTperp:
             raise ValueError("halfwidth must be positive")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        basis = threecycle_basis(n)
-        coeffs = rng.uniform(-self.halfwidth, self.halfwidth, size=len(basis))
-        coords = sum(c * b.coords.coords for c, b in zip(coeffs, basis))
-        out = np.zeros((n, n))
+        variates, shape = self._sampler(n)
+        return shape(variates(rng)[None])[0]
+
+    def _sampler(self, n: int):
+        """(variates, shape) as for GaussianUpperTriangle; the basis is built once."""
+        basis = [b.coords.coords for b in threecycle_basis(n)]
         iu, ju = np.triu_indices(n, 1)
-        out[iu, ju] = coords
-        return out - out.T
+
+        def shape(coeffs: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(coeffs), n, n))
+            # summed term by term in basis order, as for a single trial
+            out[:, iu, ju] = sum(c[:, None] * b for c, b in zip(coeffs.T, basis))
+            return out - np.swapaxes(out, 1, 2)
+
+        return (lambda rng: rng.uniform(-self.halfwidth, self.halfwidth, size=len(basis))), shape
 
 
 @dataclass(frozen=True)
@@ -230,35 +267,85 @@ def _signal_matrix(cfg: SimulationConfig) -> np.ndarray:
     return strongly_transitive_from_scores(cfg.true_scores.as_additive()).entries
 
 
+# Matrix entries per stack: 2 MB for each stacked (trials, n, n) float array,
+# which is 1,024 trials at n = 16 and 16,384 at n = 4.
+_STACK_ENTRIES = 1024 * 16 * 16
+
+
 def _simulate_range(cfg: SimulationConfig, start: int, stop: int) -> dict:
-    """Trials start..stop-1; returns integer tallies, merge-order independent."""
+    """Trials start..stop-1; returns integer tallies, merge-order independent.
+
+    Each trial is drawn from its own generator keyed by (seed, trial index)
+    and the trials are solved as stacks of at most _STACK_ENTRIES // n**2.
+    """
     signal = _signal_matrix(cfg)
-    disagree = dict.fromkeys(METHOD_PAIRS, 0)
-    tau_sum = dict.fromkeys(METHOD_PAIRS, 0)
-    degenerate = failures = 0
-    for t in range(start, stop):
-        rng = np.random.default_rng((cfg.seed, t))
-        a = ComparisonMatrix(signal + cfg.noise.draw(rng, cfg.n), Scale.ADDITIVE)
-        try:
-            rankings = {
-                "hodge": rank_of(hodge_scores(a)),
-                "tropical": rank_of(tropical_solve(a).eigenvector),
-                "principal": rank_of(principal_scores(to_multiplicative(a)).eigenvector),
-            }
-        except TieDetected:
-            degenerate += 1
-            continue
-        except (NoConvergence, InvalidMatrix):
-            failures += 1
-            continue
-        for pair in METHOD_PAIRS:
-            first, second = pair.split("-")
-            tau = kendall_tau(rankings[first], rankings[second])
-            tau_sum[pair] += tau
-            if tau:
-                disagree[pair] += 1
-    return {"disagree": disagree, "tau_sum": tau_sum,
-            "degenerate": degenerate, "failures": failures}
+    variates, shape = cfg.noise._sampler(cfg.n)
+    tally = {"disagree": dict.fromkeys(METHOD_PAIRS, 0), "tau_sum": dict.fromkeys(METHOD_PAIRS, 0),
+             "degenerate": 0, "failures": 0}
+    chunk = max(1, _STACK_ENTRIES // cfg.n ** 2)
+    for lo in range(start, stop, chunk):
+        a = signal + shape(np.stack([variates(np.random.default_rng((cfg.seed, t)))
+                                     for t in range(lo, min(lo + chunk, stop))]))
+        if not np.isfinite(a).all():
+            raise InvalidMatrix("entries must be finite")
+        _tally_stack(a, tally)
+    return tally
+
+
+def _tally_stack(a: np.ndarray, tally: dict) -> None:
+    """Solve a stack of additive trial matrices and add their outcomes to tally.
+
+    The first of these to happen decides a trial, in the order the scalar
+    path (hodge, then tropical, then exponentiation and Perron) raises:
+    a hodge vector ScoreVector rejects (failure), a hodge tie (degenerate),
+    no critical edge or a rejected tropical vector (failure), a tropical tie
+    (degenerate), overflow, underflow or a reciprocity defect on
+    exponentiation (failure), no Perron convergence (failure), a non-finite
+    or non-positive Perron vector (failure), a Perron tie (degenerate).
+    """
+    n = a.shape[1]
+    hodge = a.sum(axis=2) / n
+    hodge = hodge - hodge.mean(axis=1, keepdims=True)
+    order_h, _, _, tie_h = _rank_rows(hodge)
+    _, trop, _, crit = _tropical_kernel(a, 1e-9)
+    order_t, _, _, tie_t = _rank_rows(trop)
+
+    live = np.ones(a.shape[0], dtype=bool)
+    for hit, outcome in ((~np.isfinite(hodge).all(axis=1), "failures"),
+                         (tie_h, "degenerate"),
+                         (~crit.any(axis=(1, 2)) | ~np.isfinite(trop).all(axis=1), "failures"),
+                         (tie_t, "degenerate")):
+        tally[outcome] += int(np.count_nonzero(live & hit))
+        live &= ~hit
+    live = np.flatnonzero(live)
+
+    def keep(mask, outcome):
+        nonlocal live
+        tally[outcome] += int(mask.size - np.count_nonzero(mask))
+        live = live[mask]
+
+    # to_multiplicative, then the checks ComparisonMatrix makes
+    with np.errstate(over="ignore"):
+        powers = np.power(math.e, a[live])
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    keep(finite, "failures")
+    x = _mirror_multiplicative(powers[finite])
+    valid = (np.isfinite(x).all(axis=(1, 2)) & (x > 0.0).all(axis=(1, 2))
+             & ~(_reciprocity_defect(x) > _RECIPROCITY_EXACT))
+    keep(valid, "failures")
+
+    _, perron, _, _, moved = _perron_batch(x[valid])
+    good = (moved < 1e-12) & np.isfinite(perron).all(axis=1) & (perron > 0.0).all(axis=1)
+    keep(good, "failures")
+    order_p, _, _, tie_p = _rank_rows(np.log(perron[good]))
+    keep(~tie_p, "degenerate")
+
+    orders = {"hodge": order_h[live], "tropical": order_t[live], "principal": order_p[~tie_p]}
+    for pair in METHOD_PAIRS:
+        first, second = pair.split("-")
+        tau = _kendall_rows((orders[first], orders[second]))
+        tally["tau_sum"][pair] += int(tau.sum())
+        tally["disagree"][pair] += int(np.count_nonzero(tau))
 
 
 def monte_carlo_disagreement(cfg: SimulationConfig, jobs: int = 1) -> DisagreementReport:
@@ -269,7 +356,9 @@ def monte_carlo_disagreement(cfg: SimulationConfig, jobs: int = 1) -> Disagreeme
     and compares the three rankings.  Trials where any method ties are
     tallied as degenerate, and trials where a solver fails or the matrix
     leaves float range are tallied as failures; both are excluded from the
-    rate denominators.  The keyed streams make the report identical for any
+    rate denominators.  The trials are solved in stacked chunks, each trial
+    decided by the first of hodge, tropical and Perron to fail or tie, as
+    _tally_stack lists.  The keyed streams make the report identical for any
     jobs value.
     """
     if jobs < 1:

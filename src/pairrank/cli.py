@@ -20,7 +20,7 @@ from .analysis import (
     GaussianUpperTriangle,
     SimulationConfig,
     UniformSTperp,
-    consistency_index,
+    _consistency,
     hadamard_trajectory,
     kendall_tau,
     monte_carlo_disagreement,
@@ -173,7 +173,7 @@ def _rank_report(args) -> dict:
         "scores": {name: list(unit[name]) for name in ("principal", "hodge", "tropical")},
         "rankings": {name: str(rankings[name])
                      for name in ("principal", "hodge", "tropical")},
-        "consistency_index": consistency_index(x),
+        "consistency_index": _consistency(perron.eigenvalue, x.n),
         "tropical": {
             "eigenvalue": trop.eigenvalue,
             "unique": trop.unique,

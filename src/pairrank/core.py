@@ -104,7 +104,7 @@ class ComparisonMatrix:
                 raise InvalidMatrix("multiplicative entries must be strictly positive")
             if np.any(np.diagonal(a) != 1.0):
                 raise InvalidMatrix("multiplicative matrix needs a unit diagonal")
-            defect = np.max(np.abs(a * a.T - 1.0))
+            defect = _reciprocity_defect(a)
             if defect > _RECIPROCITY_EXACT:
                 raise InvalidMatrix(f"reciprocity defect {defect:.3e}; "
                                     "use multiplicative_matrix() to repair raw input")
@@ -129,13 +129,21 @@ def _mirror_additive(upper_source: np.ndarray) -> np.ndarray:
 
 
 def _mirror_multiplicative(upper_source: np.ndarray) -> np.ndarray:
-    """Build an exactly reciprocal positive matrix from the upper triangle."""
-    n = upper_source.shape[0]
-    x = np.ones((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    x[iu, ju] = upper_source[iu, ju]
-    x[ju, iu] = 1.0 / upper_source[iu, ju]
+    """Build exactly reciprocal positive matrices from the upper triangle.
+
+    Works on one matrix or on a stack of them (the last two axes).
+    """
+    x = np.ones(upper_source.shape)
+    iu, ju = np.triu_indices(upper_source.shape[-1], k=1)
+    upper = upper_source[..., iu, ju]
+    x[..., iu, ju] = upper
+    x[..., ju, iu] = 1.0 / upper
     return x
+
+
+def _reciprocity_defect(x: np.ndarray) -> np.ndarray:
+    """max |X[i, j] * X[j, i] - 1| of one matrix or of each in a stack."""
+    return np.abs(x * np.swapaxes(x, -1, -2) - 1.0).max(axis=(-2, -1))
 
 
 def additive_matrix(arr: Iterable, *, symmetry_tol: float = 1e-9) -> ComparisonMatrix:
@@ -423,25 +431,40 @@ def is_strongly_transitive(m: ComparisonMatrix, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(defect)) <= tol)
 
 
+def _rank_rows(v: np.ndarray, tie_tol: float = 1e-9):
+    """Best-first order of each row of a score stack, with its closest pair.
+
+    Returns (order, worst, gap, tied): order[r] lists 0-based items best
+    first, order[r, worst[r]] and order[r, worst[r] + 1] are the adjacent
+    pair with the smallest gap, and tied[r] says whether that gap is at most
+    tie_tol times the row's spread. A constant row is tied at its first two
+    items with gap 0.
+    """
+    # stable sort so equal-score behavior is deterministic before the tie check
+    order = np.argsort(-v, axis=1, kind="stable")
+    ranked = v[np.arange(v.shape[0])[:, None], order]
+    spread = ranked[:, 0] - ranked[:, -1]
+    gaps = ranked[:, :-1] - ranked[:, 1:]
+    worst = gaps.argmin(axis=1)
+    gap = np.where(spread == 0.0, 0.0, gaps[np.arange(v.shape[0]), worst])
+    return order, worst, gap, gap <= tie_tol * spread
+
+
 def rank_of(scores: ScoreVector, tie_tol: float = 1e-9) -> Ranking:
     """Order items best-first by score, refusing to break near-ties.
 
     Multiplicative scores are compared on the log scale. Two scores closer
-    than tie_tol times the score spread raise TieDetected.
+    than tie_tol times the score spread raise TieDetected. A batch of one
+    for the row-wise tie test the Monte Carlo study runs on its trials.
     """
     v = scores.values if scores.scale is Scale.ADDITIVE else np.log(scores.values)
-    n = v.shape[0]
-    spread = float(np.max(v) - np.min(v))
-    if spread == 0.0:
-        raise TieDetected(1, 2 if n >= 2 else 1, 0.0)
-    # stable sort so equal-score behavior is deterministic before the tie check
-    order = np.argsort(-v, kind="stable")
-    sorted_vals = v[order]
-    gaps = sorted_vals[:-1] - sorted_vals[1:]
-    worst = int(np.argmin(gaps))
-    if gaps[worst] <= tie_tol * spread:
-        raise TieDetected(int(order[worst]) + 1, int(order[worst + 1]) + 1, float(gaps[worst]))
-    return Ranking(tuple(int(i) + 1 for i in order))
+    if v.shape[0] == 1:
+        raise TieDetected(1, 1, 0.0)
+    order, worst, gap, tied = _rank_rows(v[None], tie_tol)
+    order, k = order[0], int(worst[0])
+    if tied[0]:
+        raise TieDetected(int(order[k]) + 1, int(order[k + 1]) + 1, float(gap[0]))
+    return Ranking(tuple((order + 1).tolist()))
 
 
 # -- file format -------------------------------------------------------------

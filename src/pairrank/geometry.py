@@ -308,6 +308,22 @@ def _select_regions(a: np.ndarray, margin: float):
     return f, g, slack, clean, scale, transitive
 
 
+def _match_one(selection, margin: float) -> tuple[int, int]:
+    """(relabeling index, region index) of a single matrix's _select_regions
+    result, or the BoundaryCase / RegionNotFound that classification raises."""
+    _, _, slack, clean, scale, transitive = selection
+    if transitive[0]:
+        # numerically strongly transitive: every wall passes through the origin
+        raise BoundaryCase(0.0)
+    if clean[0].any():
+        return divmod(int(clean[0].argmax()), 2)
+    best_near, scale = float(slack[0].max()), float(scale[0])
+    if best_near > -margin * scale:
+        raise BoundaryCase(best_near / scale)
+    raise RegionNotFound(
+        "no canonical region matched; the catalog should cover all generic matrices")
+
+
 def classify_region4(m: ComparisonMatrix, margin: float = 1e-7) -> RegionMatch:
     """Find the canonical region and relabeling for a generic 4-by-4 matrix.
 
@@ -320,18 +336,27 @@ def classify_region4(m: ComparisonMatrix, margin: float = 1e-7) -> RegionMatch:
         raise InvalidMatrix("classification is defined on the additive scale")
     if m.n != 4:
         raise InvalidMatrix("the region catalog covers n=4 only")
-    f, g, slack, clean, scale, transitive = _select_regions(m.entries[None], margin)
-    if transitive[0]:
-        # numerically strongly transitive: every wall passes through the origin
-        raise BoundaryCase(0.0)
-    if clean[0].any():
-        tau_idx, region_idx = divmod(int(clean[0].argmax()), 2)
-        return RegionMatch(_CANONICAL_REGIONS[region_idx], _PERMS4[tau_idx], f[0], g[0, tau_idx])
-    best_near, scale = float(slack[0].max()), float(scale[0])
-    if best_near > -margin * scale:
-        raise BoundaryCase(best_near / scale)
-    raise RegionNotFound(
-        "no canonical region matched; the catalog should cover all generic matrices")
+    selection = _select_regions(m.entries[None], margin)
+    tau_idx, region_idx = _match_one(selection, margin)
+    f, g, *_ = selection
+    return RegionMatch(_CANONICAL_REGIONS[region_idx], _PERMS4[tau_idx], f[0], g[0, tau_idx])
+
+
+def _region_formulas(a: np.ndarray, g: np.ndarray, tau_idx: np.ndarray,
+                     region_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and sum-zero eigenvectors from the matched regions' formulas.
+
+    Each matrix A is relabeled by its match's tau into Y, Region4's formulas
+    are evaluated on Y, and the eigenvector is mapped back to A's labels.
+    """
+    rows = np.arange(a.shape[0])
+    num = (_FORMULAS[region_idx] @ g[rows, tau_idx, :, None])[:, :, 0] / 12.0
+
+    inv = _INV_IDX[tau_idx]
+    h = a[rows[:, None, None], inv[:, :, None], inv[:, None, :]].sum(axis=2) / 4.0
+    vec = h - h.mean(axis=1, keepdims=True) + num[:, :4]
+    vec = (vec - vec.mean(axis=1, keepdims=True))[rows[:, None], _PERM_IDX[tau_idx]]
+    return num[:, 4], vec
 
 
 def _closed_form_batch(a: np.ndarray, margin: float = 1e-7) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,22 +364,14 @@ def _closed_form_batch(a: np.ndarray, margin: float = 1e-7) -> tuple[np.ndarray,
 
     Returns (eigenvalues, sum-zero eigenvectors, skipped): rows flagged in
     ``skipped`` fell within the boundary margin (or were numerically strongly
-    transitive) and carry NaN results.  Every other matrix A is relabeled by
-    its match's tau into Y, Region4's formulas are evaluated on Y, and the
-    eigenvector is mapped back to A's labels.
+    transitive) and carry NaN results.  Every other matrix gets the formulas
+    of its first clean (relabeling, region) pair.
     """
     a = np.asarray(a, dtype=float)
     _, g, _, clean, _, transitive = _select_regions(a, margin)
     skipped = ~clean.any(axis=1) | transitive
-    rows = np.arange(a.shape[0])
-    tau_idx, region_idx = np.divmod(clean.argmax(axis=1), 2)
-    num = (_FORMULAS[region_idx] @ g[rows, tau_idx, :, None])[:, :, 0] / 12.0
-
-    inv = _INV_IDX[tau_idx]
-    h = a[rows[:, None, None], inv[:, :, None], inv[:, None, :]].sum(axis=2) / 4.0
-    vec = h - h.mean(axis=1, keepdims=True) + num[:, :4]
-    vec = (vec - vec.mean(axis=1, keepdims=True))[rows[:, None], _PERM_IDX[tau_idx]]
-    lam = np.where(skipped, np.nan, num[:, 4])
+    lam, vec = _region_formulas(a, g, *np.divmod(clean.argmax(axis=1), 2))
+    lam = np.where(skipped, np.nan, lam)
     vec = np.where(skipped[:, None], np.nan, vec)
     return lam, vec, skipped
 
@@ -366,20 +383,23 @@ def tropical_closed_form4(m: ComparisonMatrix, margin: float = 1e-7) -> Tropical
     eigenvalue 0 with eigenvector h(A), where the critical graph is complete.
     Otherwise the matrix is classified, the canonical region's rational
     formula evaluated, and the result mapped back through the relabeling.
+    One region selection serves the transitivity test, the match and the
+    formulas.
     """
     if m.scale is not Scale.ADDITIVE:
         raise InvalidMatrix("the closed form is stated on the additive scale")
     if m.n != 4:
         raise InvalidMatrix("the closed form covers n=4 only")
-    _, r = project_components(m)
-    if float(np.max(np.abs(r.entries))) <= _ST_REL_TOL * float(np.max(np.abs(m.entries))):
+    selection = _select_regions(m.entries[None], margin)
+    _, g, *_, transitive = selection
+    if transitive[0]:
         edges = frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j)
         return TropicalSolution(0.0, hodge_scores(m), frozenset(range(1, 5)), edges, 1, True)
 
-    match = classify_region4(m, margin=margin)
-    lam, vec, _ = _closed_form_batch(m.entries[None], margin)
-    inv = perm_inverse(match.tau)
-    cycle = tuple(inv[v - 1] for v in match.region.critical_cycle)
+    tau_idx, region_idx = _match_one(selection, margin)
+    lam, vec = _region_formulas(m.entries[None], g, np.array([tau_idx]), np.array([region_idx]))
+    inv = perm_inverse(_PERMS4[tau_idx])
+    cycle = tuple(inv[v - 1] for v in _CANONICAL_REGIONS[region_idx].critical_cycle)
     edges = frozenset(zip(cycle, cycle[1:] + cycle[:1]))
     vec = ScoreVector(vec[0], Scale.ADDITIVE, Normalization.SUM_ZERO)
     return TropicalSolution(float(lam[0]), vec, frozenset(cycle), edges, 1, True)

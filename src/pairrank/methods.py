@@ -4,7 +4,9 @@
   (multiplicative); the orthogonal projection of the matrix onto the
   strongly transitive subspace, read off as a score vector.
 * principal_scores: the Perron eigenpair of a positive reciprocal matrix by
-  power iteration.
+  power iteration. One batched power iteration (_perron_batch) runs a stack
+  of matrices, each stopping where it would stop alone; principal_scores
+  passes a stack of one, and the Monte Carlo study passes its trials.
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
@@ -66,19 +68,49 @@ class PerronSolution:
     residual: float
 
 
-def _power_iteration(x: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, int]:
-    """Power iteration on a positive matrix with unit-sum normalization."""
-    n = x.shape[0]
-    v = np.full(n, 1.0 / n)
-    for it in range(1, max_iter + 1):
-        w = x @ v
-        w /= w.sum()
-        delta = float(np.max(np.abs(w - v)))
+def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
+    """Power iteration on a stack of positive matrices, each run as if alone.
+
+    Every matrix starts from the uniform vector, is renormalized to unit sum
+    at each step, and stops at the first iteration where its iterate moves by
+    less than tol in max norm; it then leaves the stack and the rest run on.
+    The eigenvalue is the Rayleigh quotient of the final iterate, and the
+    residual is max|X v - lambda v|. Returns (eigenvalues, vectors,
+    iterations, residuals, steps), where steps holds each matrix's last move:
+    a matrix with steps >= tol (or NaN) did not converge within max_iter,
+    and its eigenvalue and residual are NaN.
+    """
+    b, n = x.shape[0], x.shape[1]
+    lam, residual, steps = np.full((3, b), np.nan)
+    vectors, iterations = np.empty((b, n)), np.full(b, max_iter)
+    live, xs, step = np.arange(b), x, steps[:, None]
+    # column vectors, so that each product is the same BLAS call as a lone x @ v
+    v = np.full((b, n, 1), 1.0 / n)
+    for it in range(1, (max_iter if b else 0) + 1):   # an empty stack has nothing to run
+        w = xs @ v
+        w /= np.add.reduce(w, 1, keepdims=True)
+        step = np.maximum.reduce(abs(w - v), 1)
         v = w
-        if delta < tol:
-            lam = float(v @ (x @ v) / (v @ v))
-            return lam, v, it
-    raise NoConvergence(max_iter, delta)
+        finished = np.count_nonzero(step < tol)
+        if not finished:
+            continue
+        last = finished == live.size
+        if last:
+            idx, xd, vd, sd = live, xs, v, step
+        else:
+            done = step[:, 0] < tol
+            idx, xd, vd, sd = live[done], xs[done], v[done], step[done]
+            live, xs, v = live[~done], xs[~done], v[~done]
+        xv = xd @ vd
+        vt = vd.transpose(0, 2, 1)
+        rayleigh = vt @ xv / (vt @ vd)
+        lam[idx], residual[idx] = rayleigh[:, 0, 0], np.maximum.reduce(abs(xv - rayleigh * vd), (1, 2))
+        vectors[idx], steps[idx], iterations[idx] = vd[:, :, 0], sd[:, 0], it
+        if last:
+            break
+    else:
+        vectors[live], steps[live] = v[:, :, 0], step[:, 0]
+    return lam, vectors, iterations, residual, steps
 
 
 def principal_scores(x: ComparisonMatrix, tol: float = 1e-12, max_iter: int = 100000) -> PerronSolution:
@@ -86,14 +118,15 @@ def principal_scores(x: ComparisonMatrix, tol: float = 1e-12, max_iter: int = 10
 
     Starts from the uniform vector and stops when the unit-sum iterate moves
     by less than tol in max norm. The eigenvalue is the Rayleigh quotient of
-    the final iterate.
+    the final iterate. A batch of one for _perron_batch.
     """
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("principal_scores expects a multiplicative matrix")
-    lam, v, iters = _power_iteration(x.entries, tol, max_iter)
-    residual = float(np.max(np.abs(x.entries @ v - lam * v)))
-    vec = ScoreVector(v, Scale.MULTIPLICATIVE, Normalization.UNIT_SUM)
-    return PerronSolution(lam, vec, iters, residual)
+    lam, v, iters, residual, step = _perron_batch(x.entries[None], tol, max_iter)
+    if not step[0] < tol:
+        raise NoConvergence(max_iter, float(step[0]))
+    vec = ScoreVector(v[0], Scale.MULTIPLICATIVE, Normalization.UNIT_SUM)
+    return PerronSolution(float(lam[0]), vec, int(iters[0]), float(residual[0]))
 
 
 def _log_power_iteration(log_x: np.ndarray, tol: float = 1e-12,

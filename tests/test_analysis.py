@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pairrank.analysis import (
+    METHOD_PAIRS,
     GaussianUpperTriangle,
     SimulationConfig,
     UniformSTperp,
+    _simulate_range,
     consistency_index,
     default_k_grid,
     hadamard_trajectory,
@@ -18,11 +20,12 @@ from pairrank.core import (
     Ranking,
     Scale,
     ScoreVector,
+    rank_of,
     strongly_transitive_from_scores,
     to_multiplicative,
 )
-from pairrank.errors import InvalidMatrix
-from pairrank.methods import hodge_scores, tropical_solve
+from pairrank.errors import InvalidMatrix, NoConvergence, TieDetected
+from pairrank.methods import hodge_scores, principal_scores, tropical_solve
 
 
 # -- consistency index ---------------------------------------------------------
@@ -241,6 +244,63 @@ def test_simulation_seed_changes_outcome():
     base = SimulationConfig(n=4, trials=200, noise=GaussianUpperTriangle(1.0), seed=0)
     other = SimulationConfig(n=4, trials=200, noise=GaussianUpperTriangle(1.0), seed=1)
     assert monte_carlo_disagreement(base) != monte_carlo_disagreement(other)
+
+
+def _scalar_tallies(cfg: SimulationConfig, start: int, stop: int) -> dict:
+    """The disagreement study one trial at a time through the public scalar API."""
+    signal = np.zeros((cfg.n, cfg.n))
+    if cfg.true_scores is not None:
+        signal = strongly_transitive_from_scores(cfg.true_scores).entries
+    disagree = dict.fromkeys(METHOD_PAIRS, 0)
+    tau_sum = dict.fromkeys(METHOD_PAIRS, 0)
+    degenerate = failures = 0
+    for t in range(start, stop):
+        rng = np.random.default_rng((cfg.seed, t))
+        a = ComparisonMatrix(signal + cfg.noise.draw(rng, cfg.n), Scale.ADDITIVE)
+        try:
+            rankings = {
+                "hodge": rank_of(hodge_scores(a)),
+                "tropical": rank_of(tropical_solve(a).eigenvector),
+                "principal": rank_of(principal_scores(to_multiplicative(a)).eigenvector),
+            }
+        except TieDetected:
+            degenerate += 1
+            continue
+        except (NoConvergence, InvalidMatrix):
+            failures += 1
+            continue
+        for pair in METHOD_PAIRS:
+            first, second = pair.split("-")
+            tau = kendall_tau(rankings[first], rankings[second])
+            tau_sum[pair] += tau
+            disagree[pair] += tau > 0
+    return {"disagree": disagree, "tau_sum": tau_sum,
+            "degenerate": degenerate, "failures": failures}
+
+
+_STPERP_SCORES = ScoreVector(np.array([0.3, -1.1, 0.9, 0.0, -0.4, 1.6]), Scale.ADDITIVE)
+
+
+@pytest.mark.parametrize("cfg, start, outcome", [
+    (SimulationConfig(n=3, trials=120, noise=GaussianUpperTriangle(1.0), seed=4), 0, "effective"),
+    (SimulationConfig(n=4, trials=120, noise=GaussianUpperTriangle(1.0), seed=5), 0, "effective"),
+    (SimulationConfig(n=8, trials=80, noise=GaussianUpperTriangle(1.0), seed=6), 0, "effective"),
+    (SimulationConfig(n=6, trials=80, noise=UniformSTperp(2.0), true_scores=_STPERP_SCORES,
+                      seed=3), 0, "effective"),
+    (SimulationConfig(n=4, trials=120, noise=GaussianUpperTriangle(1e-12), seed=8), 0, "degenerate"),
+    # trials 47..56 of this stream hold exponent overflows, a Perron vector that
+    # underflows to zero, and one Perron run that never converges: 100,000
+    # iterations, which costs about a second on each path
+    (SimulationConfig(n=4, trials=57, noise=GaussianUpperTriangle(400.0), seed=1), 47, "failures"),
+    (SimulationConfig(n=5, trials=40, noise=GaussianUpperTriangle(1e6), seed=2), 0, "failures"),
+], ids=["gauss-n3", "gauss-n4", "gauss-n8", "stperp-n6", "sd-1e-12", "sd-400", "sd-1e6"])
+def test_stacked_simulation_matches_scalar_trials(cfg, start, outcome):
+    """Stacked trials tally exactly what the scalar solvers give one trial at a time."""
+    stacked = _simulate_range(cfg, start, cfg.trials)
+    assert stacked == _scalar_tallies(cfg, start, cfg.trials)
+    effective = cfg.trials - start - stacked["degenerate"] - stacked["failures"]
+    assert {"effective": effective, "degenerate": stacked["degenerate"],
+            "failures": stacked["failures"]}[outcome] > 0
 
 
 def test_disagreement_rate_falls_as_signal_grows():

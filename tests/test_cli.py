@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -179,6 +180,22 @@ def test_simulate_deterministic_across_jobs(capsys):
     report = json.loads(out1)
     assert report["trials"] == 300
     assert report["counts"]["hodge-tropical"] > 0
+
+
+# sha256 of the stdout of `simulate --n N --trials 10000 --seed 7`, recorded
+# when every trial was still solved one at a time by the scalar solvers
+_SIMULATE_DIGESTS = {
+    4: "ded1de8e8953fdb6a6047e7aa9c13c684221aa9fd853838f626aeee4c09ed2d8",
+    5: "1b47946213e5f0741105dab017987645dd080aa9c0936a95b68b38cc07d1ad76",
+    8: "8376ec5586da46a7697aadfcac06281d43ff32847b7782484fa217548bc823f8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_SIMULATE_DIGESTS))
+def test_simulate_stdout_is_pinned(capsys, n):
+    code, out, _ = run(capsys, "simulate", "--n", str(n), "--trials", "10000", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SIMULATE_DIGESTS[n]
 
 
 def test_simulate_three_items_all_rates_zero(capsys):

@@ -14,8 +14,9 @@ from pairrank.core import (
     to_additive,
     to_multiplicative,
 )
-from pairrank.errors import InvalidMatrix, TieDetected
+from pairrank.errors import InvalidMatrix, NoConvergence, TieDetected
 from pairrank.methods import (
+    _perron_batch,
     _tropical_batch,
     hadamard_power,
     hadamard_product,
@@ -79,6 +80,36 @@ def test_principal_scores_reference_values(disagree_matrix):
         v, [1.0, 0.99373148, 1.19228472, 1.1502032], atol=1e-7)
     assert rank_of(sol.eigenvector) == Ranking((3, 4, 1, 2))
     assert sol.residual < 1e-10
+
+
+def test_perron_batch_members_match_batches_of_one(rand_add):
+    # mild 5x5 matrices converge in a dozen or so steps, the sd-3 member needs
+    # more than the budget; the others leave the stack at different steps
+    rng = np.random.default_rng(11)
+    sds = (0.3, 1.0, 0.3, 3.0, 0.5, 1.0, 0.3)
+    stack = np.stack([to_multiplicative(rand_add(rng, 5, sd)).entries for sd in sds])
+    budget = 60
+    lam, vec, iters, residual, steps = _perron_batch(stack, max_iter=budget)
+    converged = steps < 1e-12
+    assert converged.tolist() == [sd != 3.0 for sd in sds]
+    assert len(set(iters[converged].tolist())) > 2
+    for k in range(len(sds)):
+        one = _perron_batch(stack[k:k + 1], max_iter=budget)
+        assert one[0].tobytes() == lam[k:k + 1].tobytes()
+        assert one[1].tobytes() == vec[k:k + 1].tobytes()
+        assert one[2][0] == iters[k]
+        assert one[3].tobytes() == residual[k:k + 1].tobytes()
+        assert one[4].tobytes() == steps[k:k + 1].tobytes()
+        x = ComparisonMatrix(stack[k], Scale.MULTIPLICATIVE)
+        if converged[k]:
+            sol = principal_scores(x, max_iter=budget)
+            assert (sol.eigenvalue, sol.iterations, sol.residual) == (lam[k], iters[k], residual[k])
+            assert sol.eigenvector.values.tobytes() == vec[k].tobytes()
+        else:
+            assert np.isnan(lam[k]) and np.isnan(residual[k])
+            with pytest.raises(NoConvergence) as exc:
+                principal_scores(x, max_iter=budget)
+            assert str(exc.value) == str(NoConvergence(budget, float(steps[k])))
 
 
 def test_principal_scores_requires_multiplicative(rand_add):
