@@ -147,8 +147,7 @@ def hadamard_trajectory(x: ComparisonMatrix, k_grid=None,
         log_k = k * log_x
         shift = log_k.max()
         try:
-            _, u, _ = _log_power_iteration(log_k - shift, tol=tol,
-                                           log_diag_shift=k * lam_add - shift)
+            u = _log_power_iteration(log_k - shift, k * lam_add - shift, tol=tol)
         except NoConvergence:
             points.append(TrajectoryPoint(float(k), None, None, None, None, False))
             continue

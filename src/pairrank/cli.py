@@ -9,6 +9,7 @@ table form.  Identical inputs and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -381,6 +382,7 @@ def cmd_trajectory(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = _common_flags()
     parser = _Parser(prog="pairrank",

@@ -6,7 +6,9 @@
 * principal_scores: the Perron eigenpair of a positive reciprocal matrix by
   power iteration. One batched power iteration (_perron_batch) runs a stack
   of matrices, each stopping where it would stop alone; principal_scores
-  passes a stack of one, and the Monte Carlo study passes its trials.
+  passes a stack of one, and the Monte Carlo study passes its trials. It
+  solves every matrix built as floats, witness probes included; only
+  trajectory powers, which can leave float range, use the shifted log domain.
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
@@ -129,45 +131,28 @@ def principal_scores(x: ComparisonMatrix, tol: float = 1e-12, max_iter: int = 10
     return PerronSolution(float(lam[0]), vec, int(iters[0]), float(residual[0]))
 
 
-def _log_power_iteration(log_x: np.ndarray, tol: float = 1e-12,
-                         max_iter: int = 100000,
-                         log_diag_shift: float | None = None) -> tuple[float, np.ndarray, int]:
-    """Power iteration carried out entirely in the log domain.
+def _log_power_iteration(log_x: np.ndarray, log_diag_shift: float,
+                         tol: float = 1e-12) -> np.ndarray:
+    """Power iteration on X + e^log_diag_shift * I, entirely in the log domain.
 
-    log_x holds the elementwise logs of a positive matrix. Returns
-    (log eigenvalue, log eigenvector centered to sum zero, iterations).
-    Immune to overflow and underflow, which matters for extreme Hadamard
-    powers whose linear-domain eigenvector components leave float range.
-
-    log_diag_shift, when given, iterates with X + c*I for c = e^shift.
-    The eigenvectors are unchanged, but a shift near the top eigenvalue
-    separates the leading modulus from the rotational near-ties that almost
-    cyclic matrices (extreme Hadamard powers again) otherwise exhibit.
-    The returned log eigenvalue is still that of X itself.
+    log_x holds the elementwise logs of X; returns the log eigenvector centered
+    to sum zero, or raises NoConvergence after 100,000 steps. Trajectory powers
+    need it: they can leave float range, and a shift near the top eigenvalue
+    breaks the rotational near-ties of almost cyclic matrices without changing
+    the eigenvectors. Every matrix built as floats goes to _perron_batch instead.
     """
-    n = log_x.shape[0]
-    u = np.zeros(n)
-
-    def step(u):
+    u = np.zeros(log_x.shape[0])
+    for it in range(1, 100001):
         t = log_x + u[None, :]
         peak = t.max(axis=1)
-        w = peak + np.log(np.exp(t - peak[:, None]).sum(axis=1))
-        if log_diag_shift is not None:
-            w = np.logaddexp(w, log_diag_shift + u)
-        return w
-
-    for it in range(1, max_iter + 1):
-        w = step(u)
+        w = np.logaddexp(peak + np.log(np.exp(t - peak[:, None]).sum(axis=1)),
+                         log_diag_shift + u)
         w -= w.mean()
         delta = float(np.max(np.abs(w - u)))
         u = w
         if delta < tol:
-            log_lam = float(np.mean(step(u) - u))
-            if log_diag_shift is not None:
-                if log_lam - log_diag_shift < 700.0:
-                    log_lam += math.log1p(-math.exp(log_diag_shift - log_lam))
-            return log_lam, u, it
-    raise NoConvergence(max_iter, delta)
+            return u
+    raise NoConvergence(it, delta)
 
 
 # -- tropical (max-plus) eigenproblem ----------------------------------------
@@ -207,11 +192,6 @@ def _tropical_kernel(a: np.ndarray, edge_tol: float):
     anchor = (crit.any(axis=2) | crit.any(axis=1)).argmax(axis=1)
     vec = star[np.arange(b), :, anchor]
     return lam, vec - vec.sum(axis=1, keepdims=True) / n, star, crit
-
-
-def _tropical_batch(a: np.ndarray, edge_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue and sum-zero eigenvector for a stack of additive matrices."""
-    return _tropical_kernel(np.asarray(a, dtype=float), edge_tol)[:2]
 
 
 def tropical_eigenvalue(m: ComparisonMatrix) -> float:
@@ -256,7 +236,9 @@ def tropical_solve(m: ComparisonMatrix, edge_tol: float = 1e-9) -> TropicalSolut
 class _LazyTropicalSolution(TropicalSolution):
     """A tropical_solve result that builds its critical structure on first read.
 
-    Monte Carlo runs never read it, and it costs a fifth of a 4-by-4 solve.
+    The three-item acceptance sweep (10,000 solves) and the candidate checks
+    of the witness searches read only the eigenvector, and the structure
+    costs a fifth of a 4-by-4 solve.
     """
 
     def __init__(self, eigenvalue, eigenvector, star, crit, edge_tol):

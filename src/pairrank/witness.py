@@ -35,6 +35,7 @@ from .core import (
 from .errors import (
     ConstructionFailed,
     CheckFailed,
+    InvalidMatrix,
     InvalidPerturbation,
     KExhausted,
     NoConvergence,
@@ -44,7 +45,6 @@ from .errors import (
 )
 from .geometry import t_basis
 from .methods import (
-    _log_power_iteration,
     hadamard_power,
     hadamard_product,
     hodge_scores,
@@ -77,6 +77,10 @@ _MAX_DOUBLINGS = 60
 # e^600 still leaves power iteration on the result two hundred orders of
 # magnitude of headroom
 _LOG_ENTRY_CAP = 600.0
+# The Perron solver stops on an absolute step, so components far below its
+# tolerance can stop while wrong by orders of magnitude; a probe counts only when
+# its Collatz-Wielandt bounds min_i, max_i (Xv)_i/v_i agree to this log spread.
+_PROBE_CW_SPREAD = 1e-3
 
 
 class Pair(enum.Enum):
@@ -160,6 +164,12 @@ def _verify(matrix: ComparisonMatrix, req: WitnessRequest) -> WitnessVerificatio
             f"witness does not certify: {m1} ranks {r1} (wanted {req.sigma1}), "
             f"{m2} ranks {r2} (wanted {req.sigma2})")
     return WitnessVerification(m1, m2, s1, s2, r1, r2)
+
+
+def _check_base(base: float) -> None:
+    """Reject a conversion base that is not a finite number above one."""
+    if not (math.isfinite(base) and base > 1.0):
+        raise ValueError(f"base must be a finite number above 1; got {base:g}")
 
 
 def _descending_scores(sigma: Ranking) -> ScoreVector:
@@ -325,13 +335,14 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
 
     Exponentiates the Hodge-vs-tropical witness and doubles the Hadamard
     power k until the principal ranking matches the tropical one (sigma2);
-    the Hodge ranking is invariant in k.  Rankings along the search are
-    computed in the log domain with the largest log entry shifted to zero,
-    and the returned matrix is materialized only once k is within float
-    range, so the search cannot overflow.
+    the Hodge ranking is invariant in k.  Only powers whose log entries stay
+    within _LOG_ENTRY_CAP are probed, each with the verifier's own Perron
+    solve under a reduced iteration budget, and a probe counts only when its
+    Collatz-Wielandt bounds certify the solve (_PROBE_CW_SPREAD).
     """
     if req.pair is not Pair.HODGE_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
+    _check_base(base)
     if req.sigma1 == req.sigma2:
         s = _descending_scores(req.sigma1).as_multiplicative(base)
         x = strongly_transitive_from_scores(s)
@@ -351,6 +362,11 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
             pass
     log_entries = inner.matrix.entries * math.log(base)
     max_log = float(np.max(np.abs(log_entries)))
+    with np.errstate(over="ignore", divide="ignore"):
+        entries = _mirror_multiplicative(np.exp(log_entries))
+    if not np.isfinite(entries).all():   # an entry that underflows to 0 mirrors to inf
+        raise InvalidMatrix(f"base {base:g} takes the witness entries out of float range")
+    x = ComparisonMatrix(entries, Scale.MULTIPLICATIVE)
 
     # k = 1, 2, 1/2, 4, 1/4, ...: grow toward the tropical limit, but also
     # probe downward, since large powers make the matrix nearly cyclic and
@@ -359,16 +375,15 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
         k = 2.0 ** ((e + 1) // 2 if e % 2 else -(e // 2))
         if k * max_log > _LOG_ENTRY_CAP:
             continue
-        log_k = k * log_entries
+        y = hadamard_power(x, k)
         try:
             # probe with a reduced iteration budget: a k needing more than
             # this stalls the full solver during verification anyway
-            _, log_vec, _ = _log_power_iteration(log_k - log_k.max(), max_iter=20000)
-            if rank_of(ScoreVector(log_vec, Scale.ADDITIVE)) != req.sigma2:
+            v = principal_scores(y, max_iter=20000).eigenvector
+            with np.errstate(divide="ignore", invalid="ignore"):
+                spread = np.ptp(np.log(y.entries @ v.values / v.values))
+            if not spread <= _PROBE_CW_SPREAD or rank_of(v) != req.sigma2:
                 continue
-            y = hadamard_power(
-                ComparisonMatrix(_mirror_multiplicative(np.exp(log_entries)),
-                                 Scale.MULTIPLICATIVE), k)
             return WitnessResult(
                 y, req, _verify(y, req),
                 WitnessParameters(k=k, epsilon=inner.parameters.epsilon, base=base))
@@ -519,6 +534,7 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
     """
     if req.pair is not Pair.TROPICAL_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
+    _check_base(base)
     if req.sigma1 == req.sigma2:
         s = _descending_scores(req.sigma1).as_multiplicative(base)
         x = strongly_transitive_from_scores(s)

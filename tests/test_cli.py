@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def test_unknown_flag_exits_one(disagree_csv):
     assert exc.value.code == 1
 
 
+def test_parser_reuse_matches_fresh_processes(capsys, disagree_csv):
+    bad = ["rank", str(disagree_csv), "--no-such-flag"]
+    good = ["rank", str(disagree_csv), "--reciprocity-tol", "0.05"]
+    fresh = [subprocess.run([sys.executable, "-m", "pairrank.cli", *argv],
+                            capture_output=True, text=True) for argv in (bad, good)]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    usage = capsys.readouterr()
+    assert (exc.value.code, usage.out, usage.err) == (
+        fresh[0].returncode, fresh[0].stdout, fresh[0].stderr)
+    assert run(capsys, *good) == (fresh[1].returncode, fresh[1].stdout, fresh[1].stderr)
+
+
 # -- witness -------------------------------------------------------------------
 
 
@@ -134,6 +148,72 @@ def test_witness_bad_sigma_leaves_no_files(capsys, tmp_path):
                        "--out", str(out_csv))
     assert code == 1
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("pair", ["hodge-principal", "tropical-principal"])
+@pytest.mark.parametrize("base", ["0.5", "1", "-2", "nan", "inf"])
+@pytest.mark.parametrize("sigma2", ["4>3>2>1", "1>2>3>4"])
+def test_witness_rejects_base_not_above_one(capsys, tmp_path, pair, base, sigma2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "witness", "--pair", pair, "--n", "4",
+                             "--sigma1", "1>2>3>4", "--sigma2", sigma2,
+                             "--base", base, "--out", str(tmp_path / "w.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: base must be a finite number above 1; got {float(base):g}\n"
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_witness_base_overflowing_entries_is_a_typed_error(capsys, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "witness", "--pair", "hodge-principal", "--n", "4",
+                             "--sigma1", "1>2>3>4", "--sigma2", "4>3>2>1",
+                             "--base", "1e300", "--out", str(tmp_path / "w.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: base 1e+300 takes the witness entries out of float range\n"
+
+
+# sha256 of stdout and of the written matrix for `witness --pair hodge-principal`,
+# recorded when the Hadamard-power probes still ran in the log domain.  The n = 4
+# requests settle at k = 2, 1 and 2.  At n = 5 and 6 with the default base the
+# probes at k = 1 and 2 run out of iterations before k = 1/2 certifies.  With
+# --base 100 the probe at k = 4 stops after two steps on components far below
+# the solver's tolerance, and the search must pass it by to settle at k = 1/8.
+_WITNESS_DIGESTS = [
+    ("4", "1>4>3>2", "4>3>2>1", (),
+     "103d9001f747149e1097aff32b4668892c2f910abd78cbe6a6f2ba7028178904",
+     "8e994c1530723a88e047b3d2d27f28e4a335423711897731fa8ed3e506540afd"),
+    ("4", "4>3>1>2", "4>2>3>1", (),
+     "2760942a0086fa53a15f9c23746299568214e16242b80ffb13aacf3841db6b11",
+     "d3dc1c32ca18da2472e2b58da4440882fcd5f48e2bab32ae86dd34378cdfc320"),
+    ("4", "2>3>1>4", "4>2>1>3", (),
+     "8ca895af5d6c1e738abd5fa6663554b5374cad58074954bda578a80daf37f4cf",
+     "6e24eac1ca15310168aa0e3f927982c4a92d39f34a378f935cfa1e1afc1fd84e"),
+    ("5", "5>3>2>1>4", "2>5>1>4>3", (),
+     "fb0acc7d096a6fe7a7b5a11ac6fc3af748578d6ad2c12e7f1163da38a3ddddda",
+     "646d3dd10426a4cce39fe8159bc86a3cf904bc44de0241072cae8cabffad65ec"),
+    ("5", "1>4>5>2>3", "5>1>2>3>4", ("--base", "100"),
+     "0f1bf36ed1982326dce8e3b9fc65c5a7c69c96e046c770df3067abd440e70d41",
+     "df5e11c60bd7ecd1e84ba75fd04925a0f1297451686e1699c7f32ab11712e6bd"),
+    ("6", "4>6>2>5>3>1", "5>3>2>4>6>1", (),
+     "51d6dc2b7d1dc666d371baf4f5eb4ca4842367ac4938d7708683757ba475d1cd",
+     "29caf399b908fcd2c8cfbcb29d25f84dc3a8f15bf6a3907f20651514f650acd4"),
+]
+
+
+@pytest.mark.parametrize("n,sigma1,sigma2,flags,stdout_digest,csv_digest", _WITNESS_DIGESTS,
+                         ids=[f"n{n}-{s1}-{s2}{''.join(f)}" for n, s1, s2, f, *_ in _WITNESS_DIGESTS])
+def test_witness_stdout_is_pinned(capsys, tmp_path, monkeypatch,
+                                  n, sigma1, sigma2, flags, stdout_digest, csv_digest):
+    monkeypatch.chdir(tmp_path)   # stdout names the matrix file
+    code, out, _ = run(capsys, "witness", "--pair", "hodge-principal", "--n", n,
+                       "--sigma1", sigma1, "--sigma2", sigma2, "--out", "w.csv", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256((tmp_path / "w.csv").read_bytes()).hexdigest() == csv_digest
 
 
 def test_witness_matrix_file_is_loadable(capsys, tmp_path):
