@@ -10,6 +10,7 @@ methods module.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -81,6 +82,10 @@ _LOG_ENTRY_CAP = 600.0
 # tolerance can stop while wrong by orders of magnitude; a probe counts only when
 # its Collatz-Wielandt bounds min_i, max_i (Xv)_i/v_i agree to this log spread.
 _PROBE_CW_SPREAD = 1e-3
+# principal_scores needs about ln(1e-12)/ln|l2/l1| steps (Golub & Van Loan,
+# ch. 7); a power whose eigenvalue ratio predicts twice the probe budget is skipped
+_PROBE_MAX_ITER = 20000
+_PROBE_MAX_RATIO = math.exp(math.log(1e-12) / (2 * _PROBE_MAX_ITER))
 
 
 class Pair(enum.Enum):
@@ -178,6 +183,16 @@ def _descending_scores(sigma: Ranking) -> ScoreVector:
     for pos, item in enumerate(sigma.order):
         values[item - 1] = float(sigma.n - 1 - pos)
     return ScoreVector(values - values.mean(), Scale.ADDITIVE, Normalization.SUM_ZERO)
+
+
+@contextlib.contextmanager
+def _float_range(base: float):
+    """Report witness entries that leave float range as InvalidMatrix naming the base."""
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            yield
+    except InvalidMatrix:
+        raise InvalidMatrix(f"base {base:g} takes the witness entries out of float range") from None
 
 
 # -- the shared base matrix (zero Hodge scores, tie-free tropical) -------------
@@ -335,17 +350,17 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
 
     Exponentiates the Hodge-vs-tropical witness and doubles the Hadamard
     power k until the principal ranking matches the tropical one (sigma2);
-    the Hodge ranking is invariant in k.  Only powers whose log entries stay
-    within _LOG_ENTRY_CAP are probed, each with the verifier's own Perron
-    solve under a reduced iteration budget, and a probe counts only when its
-    Collatz-Wielandt bounds certify the solve (_PROBE_CW_SPREAD).
+    the Hodge ranking is invariant in k.  A power is skipped when its log
+    entries pass _LOG_ENTRY_CAP or its |l2/l1| predicts more than twice the
+    probe budget (_PROBE_MAX_RATIO); the others get the verifier's Perron solve
+    under that budget, certified by Collatz-Wielandt bounds (_PROBE_CW_SPREAD).
     """
     if req.pair is not Pair.HODGE_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
     _check_base(base)
     if req.sigma1 == req.sigma2:
-        s = _descending_scores(req.sigma1).as_multiplicative(base)
-        x = strongly_transitive_from_scores(s)
+        with _float_range(base):
+            x = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
         return WitnessResult(x, req, _verify(x, req),
                              WitnessParameters(k=1.0, base=base))
 
@@ -362,11 +377,8 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
             pass
     log_entries = inner.matrix.entries * math.log(base)
     max_log = float(np.max(np.abs(log_entries)))
-    with np.errstate(over="ignore", divide="ignore"):
-        entries = _mirror_multiplicative(np.exp(log_entries))
-    if not np.isfinite(entries).all():   # an entry that underflows to 0 mirrors to inf
-        raise InvalidMatrix(f"base {base:g} takes the witness entries out of float range")
-    x = ComparisonMatrix(entries, Scale.MULTIPLICATIVE)
+    with _float_range(base):   # an entry that underflows to 0 mirrors to inf
+        x = ComparisonMatrix(_mirror_multiplicative(np.exp(log_entries)), Scale.MULTIPLICATIVE)
 
     # k = 1, 2, 1/2, 4, 1/4, ...: grow toward the tropical limit, but also
     # probe downward, since large powers make the matrix nearly cyclic and
@@ -376,10 +388,11 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
         if k * max_log > _LOG_ENTRY_CAP:
             continue
         y = hadamard_power(x, k)
+        second, top = np.sort(abs(np.linalg.eigvals(y.entries)))[-2:]
+        if second > _PROBE_MAX_RATIO * top:
+            continue
         try:
-            # probe with a reduced iteration budget: a k needing more than
-            # this stalls the full solver during verification anyway
-            v = principal_scores(y, max_iter=20000).eigenvector
+            v = principal_scores(y, max_iter=_PROBE_MAX_ITER).eigenvector
             with np.errstate(divide="ignore", invalid="ignore"):
                 spread = np.ptp(np.log(y.entries @ v.values / v.values))
             if not spread <= _PROBE_CW_SPREAD or rank_of(v) != req.sigma2:
@@ -536,8 +549,8 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
     _check_base(base)
     if req.sigma1 == req.sigma2:
-        s = _descending_scores(req.sigma1).as_multiplicative(base)
-        x = strongly_transitive_from_scores(s)
+        with _float_range(base):
+            x = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
         return WitnessResult(x, req, _verify(x, req),
                              WitnessParameters(k=1.0, base=base))
 
@@ -555,11 +568,13 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
         raise ConstructionFailed("perturbation", "no L gave a tie-free principal ranking")
 
     anchored = relabel(x, perm_between(flat_rank, req.sigma2))
-    m = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
+    with _float_range(base):
+        m = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
 
     k = 1.0
     for _ in range(_MAX_HALVINGS):
-        candidate = hadamard_product(anchored, hadamard_power(m, k))
+        with _float_range(base):
+            candidate = hadamard_product(anchored, hadamard_power(m, k))
         try:
             if rank_of(principal_scores(candidate).eigenvector) == req.sigma2 \
                     and rank_of(tropical_solve(to_additive(candidate)).eigenvector) == req.sigma1:

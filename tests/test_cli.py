@@ -166,14 +166,20 @@ def test_witness_rejects_base_not_above_one(capsys, tmp_path, pair, base, sigma2
 
 
 def test_witness_base_overflowing_entries_is_a_typed_error(capsys, tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, "witness", "--pair", "hodge-principal", "--n", "4",
-                             "--sigma1", "1>2>3>4", "--sigma2", "4>3>2>1",
-                             "--base", "1e300", "--out", str(tmp_path / "w.csv"))
-    assert code == 1
-    assert out == ""
-    assert err == "error: base 1e+300 takes the witness entries out of float range\n"
+    # the scores base^s overflow at 1e300; at 1e200 their ratios do, and the
+    # sigma1 == sigma2 shortcut builds the same ratio matrix as tropical-principal
+    for pair, sigma2, base in (("hodge-principal", "4>3>2>1", "1e300"),
+                               ("hodge-principal", "1>2>3>4", "1e300"),
+                               ("tropical-principal", "4>3>2>1", "1e300"),
+                               ("tropical-principal", "4>3>2>1", "1e200")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "witness", "--pair", pair, "--n", "4",
+                                 "--sigma1", "1>2>3>4", "--sigma2", sigma2,
+                                 "--base", base, "--out", str(tmp_path / "w.csv"))
+        assert code == 1, (pair, sigma2, base)
+        assert out == ""
+        assert err == f"error: base {float(base):g} takes the witness entries out of float range\n"
 
 
 # sha256 of stdout and of the written matrix for `witness --pair hodge-principal`,
@@ -182,6 +188,11 @@ def test_witness_base_overflowing_entries_is_a_typed_error(capsys, tmp_path):
 # probes at k = 1 and 2 run out of iterations before k = 1/2 certifies.  With
 # --base 100 the probe at k = 4 stops after two steps on components far below
 # the solver's tolerance, and the search must pass it by to settle at k = 1/8.
+# The last two were recorded before the search skipped any power on its
+# eigenvalue ratio.  The n = 5 --base 1e4 request settles at k = 1/16, and every
+# power before it (k = 1, 2, 1/2, 1/4, 1/8) fails its probe; the n = 7 --base 10
+# one settles at k = 1/2 after two probes that stop on vectors the
+# Collatz-Wielandt check rejects.
 _WITNESS_DIGESTS = [
     ("4", "1>4>3>2", "4>3>2>1", (),
      "103d9001f747149e1097aff32b4668892c2f910abd78cbe6a6f2ba7028178904",
@@ -201,6 +212,12 @@ _WITNESS_DIGESTS = [
     ("6", "4>6>2>5>3>1", "5>3>2>4>6>1", (),
      "51d6dc2b7d1dc666d371baf4f5eb4ca4842367ac4938d7708683757ba475d1cd",
      "29caf399b908fcd2c8cfbcb29d25f84dc3a8f15bf6a3907f20651514f650acd4"),
+    ("5", "3>1>5>2>4", "4>2>5>1>3", ("--base", "1e4"),
+     "204178d3e1fc626c5b252e5bec6dc4b3a93d771215092dfc58c26e54fff27ac2",
+     "5204510ffd1fd0e6e0c02c73bacc0666dc5a135235742de32ed53fda39740570"),
+    ("7", "7>4>6>5>1>2>3", "2>4>3>7>6>1>5", ("--base", "10"),
+     "47999f5b6413494208857d75200270de9309824447774d6b5496e9f1582639ea",
+     "ba0851bce86d57674a6d67f48436be592667d2152530393b5c249bc0acc3c830"),
 ]
 
 

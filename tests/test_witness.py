@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pairrank import witness
 from pairrank.core import (
     Ranking,
     Scale,
@@ -10,7 +12,7 @@ from pairrank.core import (
     rank_of,
     to_additive,
 )
-from pairrank.errors import InvalidPerturbation, TieDetected
+from pairrank.errors import InvalidPerturbation, NoConvergence, TieDetected
 from pairrank.methods import (
     hadamard_power,
     hodge_scores,
@@ -162,6 +164,46 @@ def test_hodge_principal_random_requests(n):
         res = witness_hodge_principal(req)
         assert res.verification.ranking1 == req.sigma1
         assert res.verification.ranking2 == req.sigma2
+
+
+# The n = 5 requests of test_cli.py's pinned witness digests. With the default
+# base the filter passes by k = 1 and 2, whose probes run out of iterations.
+# With base 100 it passes by k = 1, 2, 1/2, 4 and 1/4; the probes at k = 2 and
+# 4 stop within three steps on vectors the Collatz-Wielandt check rejects.
+@pytest.mark.parametrize("sigma1,sigma2,base", [
+    ((5, 3, 2, 1, 4), (2, 5, 1, 4, 3), math.e),
+    ((1, 4, 5, 2, 3), (5, 1, 2, 3, 4), 100.0),
+])
+def test_hodge_principal_skips_only_probes_that_fail(monkeypatch, sigma1, sigma2, base):
+    """Every Hadamard power the spectral filter passes by fails its probe anyway."""
+    probes = {}
+
+    def record_probe(y, **kwargs):
+        if kwargs.get("max_iter") != witness._PROBE_MAX_ITER:
+            return principal_scores(y, **kwargs)
+        try:
+            sol = principal_scores(y, **kwargs)
+        except NoConvergence:
+            probes[y.entries.tobytes()] = None
+            raise
+        v = sol.eigenvector.values
+        probes[y.entries.tobytes()] = np.ptp(np.log(y.entries @ v / v))
+        return sol
+
+    monkeypatch.setattr(witness, "principal_scores", record_probe)
+    req = WitnessRequest(5, Pair.HODGE_PRINCIPAL, Ranking(sigma1), Ranking(sigma2))
+    filtered = witness_hodge_principal(req, base=base)
+    probed = set(probes)
+    probes.clear()
+    monkeypatch.setattr(witness, "_PROBE_MAX_RATIO", math.inf)
+    unfiltered = witness_hodge_principal(req, base=base)
+
+    assert unfiltered.parameters == filtered.parameters
+    assert unfiltered.matrix.entries.tobytes() == filtered.matrix.entries.tobytes()
+    skipped = [spread for y, spread in probes.items() if y not in probed]
+    assert skipped
+    for spread in skipped:
+        assert spread is None or spread > witness._PROBE_CW_SPREAD
 
 
 # -- the perturbed matrix family -----------------------------------------------
