@@ -29,14 +29,13 @@ from .core import (
     _mirror_multiplicative,
     _rank_rows,
     _reciprocity_defect,
-    rank_of,
     strongly_transitive_from_scores,
     to_additive,
 )
-from .errors import InvalidMatrix, NoConvergence, TieDetected
+from .errors import InvalidMatrix
 from .geometry import threecycle_basis
 from .methods import (
-    _log_power_iteration,
+    _log_perron_batch,
     _perron_batch,
     _tropical_kernel,
     principal_scores,
@@ -101,6 +100,12 @@ def kendall_tau(r1: Ranking, r2: Ranking) -> int:
 # -- Hadamard power trajectories ----------------------------------------------
 
 
+# Matrix entries per stack, for both stacked solves (trajectory grid points
+# and Monte Carlo trials): 128 kB for each stacked (stack, n, n) float array,
+# which is 64 members at n = 16, 4 at n = 64 and 1,024 at n = 4.
+_STACK_ENTRIES = 64 * 16 * 16
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
     """Principal eigenvector snapshot of X^(k) at one grid value.
@@ -131,6 +136,8 @@ def hadamard_trajectory(x: ComparisonMatrix, k_grid=None,
     All work happens in the log domain with the largest log entry shifted to
     zero, plus a diagonal boost near the dominant eigenvalue so that the
     nearly cyclic structure of large powers cannot stall the iteration.
+    The grid points are solved as stacks of at most _STACK_ENTRIES // n**2
+    by one batched iteration, each point stopping where it would alone.
     A point where the solver still fails to converge is reported with
     converged=False and the trajectory continues.
     """
@@ -143,23 +150,24 @@ def hadamard_trajectory(x: ComparisonMatrix, k_grid=None,
     log_x = np.log(x.entries)
     lam_add = tropical_eigenvalue(to_additive(x))
     points = []
-    for k in grid:
-        log_k = k * log_x
-        shift = log_k.max()
-        try:
-            u = _log_power_iteration(log_k - shift, k * lam_add - shift, tol=tol)
-        except NoConvergence:
-            points.append(TrajectoryPoint(float(k), None, None, None, None, False))
-            continue
-        log_v = u - u[0]
-        try:
-            ranking = rank_of(ScoreVector(log_v, Scale.ADDITIVE))
-        except TieDetected:
-            ranking = None
+    per_stack = max(1, _STACK_ENTRIES // x.n ** 2)
+    for lo in range(0, grid.size, per_stack):
+        ks = grid[lo:lo + per_stack]
+        log_k = ks[:, None, None] * log_x
+        shift = np.maximum.reduce(log_k, (1, 2))
+        u, converged = _log_perron_batch(log_k - shift[:, None, None], ks * lam_add - shift, tol=tol)
+        log_v = u[converged] - u[converged, :1]
+        order, _, _, tied = _rank_rows(log_v)
         with np.errstate(over="ignore"):
             v = np.exp(log_v)
-        points.append(TrajectoryPoint(
-            float(k), v, log_v, np.exp(log_v / k), ranking, True))
+        solved = zip(v, log_v, np.exp(log_v / ks[converged, None]), order + 1, tied)
+        for k, ok in zip(ks.tolist(), converged.tolist()):
+            if not ok:
+                points.append(TrajectoryPoint(k, None, None, None, None, False))
+                continue
+            v_k, log_v_k, root, items, tie = next(solved)
+            ranking = None if tie else Ranking(tuple(items.tolist()))
+            points.append(TrajectoryPoint(k, v_k, log_v_k, root, ranking, True))
     return points
 
 
@@ -264,11 +272,6 @@ def _signal_matrix(cfg: SimulationConfig) -> np.ndarray:
     if cfg.true_scores is None:
         return np.zeros((cfg.n, cfg.n))
     return strongly_transitive_from_scores(cfg.true_scores.as_additive()).entries
-
-
-# Matrix entries per stack: 2 MB for each stacked (trials, n, n) float array,
-# which is 1,024 trials at n = 16 and 16,384 at n = 4.
-_STACK_ENTRIES = 1024 * 16 * 16
 
 
 def _simulate_range(cfg: SimulationConfig, start: int, stop: int) -> dict:

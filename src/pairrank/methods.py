@@ -7,8 +7,10 @@
   power iteration. One batched power iteration (_perron_batch) runs a stack
   of matrices, each stopping where it would stop alone; principal_scores
   passes a stack of one, and the Monte Carlo study passes its trials. It
-  solves every matrix built as floats, witness probes included; only
-  trajectory powers, which can leave float range, use the shifted log domain.
+  solves every matrix built as floats, witness probes included. Trajectory
+  powers, which can leave float range, go to the one log-domain loop
+  (_log_perron_batch): a diagonally shifted power iteration, batch-first in
+  the same way, that solves a stack of grid points.
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
@@ -131,28 +133,42 @@ def principal_scores(x: ComparisonMatrix, tol: float = 1e-12, max_iter: int = 10
     return PerronSolution(float(lam[0]), vec, int(iters[0]), float(residual[0]))
 
 
-def _log_power_iteration(log_x: np.ndarray, log_diag_shift: float,
-                         tol: float = 1e-12) -> np.ndarray:
-    """Power iteration on X + e^log_diag_shift * I, entirely in the log domain.
+def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray,
+                      tol: float = 1e-12, max_iter: int = 100000):
+    """Power iteration on a stack X + e^log_shift * I, entirely in the log domain.
 
-    log_x holds the elementwise logs of X; returns the log eigenvector centered
-    to sum zero, or raises NoConvergence after 100,000 steps. Trajectory powers
+    log_x holds the elementwise logs of each X and log_shift one diagonal
+    shift per matrix. Every member starts from the zero log vector, is
+    centered to sum zero at each step, and stops at the first iteration where
+    it moves by less than tol in max norm; it then leaves the stack and the
+    rest run on. Returns (vectors, converged): the last centered log vector
+    of each member, and whether it stopped within max_iter. Trajectory powers
     need it: they can leave float range, and a shift near the top eigenvalue
-    breaks the rotational near-ties of almost cyclic matrices without changing
-    the eigenvectors. Every matrix built as floats goes to _perron_batch instead.
+    breaks the rotational near-ties of almost cyclic matrices without
+    changing the eigenvectors.
     """
-    u = np.zeros(log_x.shape[0])
-    for it in range(1, 100001):
-        t = log_x + u[None, :]
-        peak = t.max(axis=1)
-        w = np.logaddexp(peak + np.log(np.exp(t - peak[:, None]).sum(axis=1)),
-                         log_diag_shift + u)
-        w -= w.mean()
-        delta = float(np.max(np.abs(w - u)))
+    b, n = log_x.shape[0], log_x.shape[1]
+    vectors, converged = np.empty((b, n)), np.zeros(b, dtype=bool)
+    live, xs, shift = np.arange(b), log_x, np.asarray(log_shift, dtype=float)[:, None]
+    u, buf = np.zeros((b, n)), np.empty((b, n, n))
+    for _ in range(max_iter if b else 0):   # an empty stack has nothing to run
+        t = buf[:live.size]
+        np.add(xs, u[:, None, :], out=t)
+        peak = np.maximum.reduce(t, 2)
+        np.subtract(t, peak[:, :, None], out=t)
+        np.exp(t, out=t)
+        w = np.logaddexp(peak + np.log(np.add.reduce(t, 2)), shift + u)
+        w -= w.mean(axis=1, keepdims=True)
+        done = np.maximum.reduce(abs(w - u), 1) < tol
         u = w
-        if delta < tol:
-            return u
-    raise NoConvergence(it, delta)
+        if not done.any():
+            continue
+        vectors[live[done]], converged[live[done]] = u[done], True
+        live, xs, u, shift = live[~done], xs[~done], u[~done], shift[~done]
+        if not live.size:
+            break
+    vectors[live] = u
+    return vectors, converged
 
 
 # -- tropical (max-plus) eigenproblem ----------------------------------------

@@ -573,8 +573,12 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
 
     k = 1.0
     for _ in range(_MAX_HALVINGS):
-        with _float_range(base):
-            candidate = hadamard_product(anchored, hadamard_power(m, k))
+        try:
+            with np.errstate(over="ignore", divide="ignore"):
+                candidate = hadamard_product(anchored, hadamard_power(m, k))
+        except InvalidMatrix:   # out of float range; halving k shrinks the entries
+            k /= 2.0
+            continue
         try:
             if rank_of(principal_scores(candidate).eigenvector) == req.sigma2 \
                     and rank_of(tropical_solve(to_additive(candidate)).eigenvector) == req.sigma1:

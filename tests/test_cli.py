@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pairrank.cli import main
-from pairrank.core import Ranking, Scale, ScoreVector, load_matrix, rank_of
+from pairrank.core import ComparisonMatrix, Ranking, Scale, ScoreVector, load_matrix, rank_of, save_matrix
 
 
 def run(capsys, *argv):
@@ -180,6 +180,22 @@ def test_witness_base_overflowing_entries_is_a_typed_error(capsys, tmp_path):
         assert code == 1, (pair, sigma2, base)
         assert out == ""
         assert err == f"error: base {float(base):g} takes the witness entries out of float range\n"
+
+
+def test_witness_tropical_principal_halves_k_past_overflowing_candidates(capsys, tmp_path):
+    # at base 1e77 the transitive factor fits in float range but its product
+    # with the perturbed matrix does not until k is small
+    out_csv = tmp_path / "w.csv"
+    code, out, err = run(capsys, "witness", "--pair", "tropical-principal", "--n", "5",
+                         "--sigma1", "1>2>3>4>5", "--sigma2", "5>4>3>2>1",
+                         "--base", "1e77", "--out", str(out_csv))
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["parameters"]["k"] < 1.0
+    code, out, _ = run(capsys, "rank", str(out_csv))
+    assert code == 0
+    rankings = json.loads(out)["rankings"]
+    assert (rankings["tropical"], rankings["principal"]) == ("1>2>3>4>5", "5>4>3>2>1")
 
 
 # sha256 of stdout and of the written matrix for `witness --pair hodge-principal`,
@@ -355,6 +371,51 @@ def test_trajectory_reproducible(capsys, disagree_csv):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# sha256 of `trajectory` stdout as CSV and as --format json, recorded when each
+# grid point was still solved on its own by a scalar log-domain iteration.  The
+# seeded matrices are scores plus noise; in "8t" item 2 copies item 1, so every
+# point ties.
+_TRAJECTORY_DIGESTS = [
+    ("4x4", (),
+     "5c9be7e11ced52067622b551f41c30ee3c0ff6627e821f6c54257a0fd206debc",
+     "3e38c315162d9298e6d877a3b5ec6459d6bfc31b1312c64efc5ea242126d68db"),
+    ("8", (),
+     "ca84c9ef49ae6d168f8e1eaac75c05429dd615f96bb1c8898147993ede443da5",
+     "c22effe5cc53f0b0020125ba0359acc9012cb03d985fdb43aa21b89dab0752fa"),
+    ("8t", (),
+     "c032d965c2f4933251b5d77e153607607fef8fe0e580106ac520ff3d2c6fe217",
+     "c0e212e4f3b24de5d09db36c07650dc96f033b7ea34078c4149a93d974dbecaf"),
+    ("16", ("--points", "200"),
+     "763593ebb64860b429b284fb2dc9b551e23ff401f48aaadf6044d5912def93be",
+     "657f8036aa7334aa0caea8f63bda6add010a80067d54252c2c35f742b4e373da"),
+    ("64", (),
+     "08a60d67db0fc1b56c6480742ce4a5005b1686d9e775792ce9a243ad07910e1c",
+     "51ee2da880ae937ab8b2f9c57643abae1c64a51bb73691f20218ea043b3aa520"),
+]
+
+
+@pytest.mark.parametrize("name,flags,csv_digest,json_digest", _TRAJECTORY_DIGESTS,
+                         ids=[name for name, *_ in _TRAJECTORY_DIGESTS])
+def test_trajectory_stdout_is_pinned(capsys, tmp_path, disagree_csv,
+                                     name, flags, csv_digest, json_digest):
+    if name == "4x4":
+        path, flags = str(disagree_csv), ("--reciprocity-tol", "0.05", *flags)
+    else:
+        n = int(name.rstrip("t"))
+        rng = np.random.default_rng(n)
+        s = rng.normal(0.0, 1.0, size=n)
+        g = np.triu(rng.normal(0.0, 0.5, size=(n, n)), 1)
+        a = s[:, None] - s[None, :] + g - g.T
+        if name.endswith("t"):
+            a[1], a[:, 1] = a[0], a[:, 0]
+        path = str(tmp_path / "m.csv")
+        save_matrix(path, ComparisonMatrix(a, Scale.ADDITIVE))
+    for fmt, digest in (((), csv_digest), (("--format", "json"), json_digest)):
+        code, out, _ = run(capsys, "trajectory", path, *flags, *fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_trajectory_grid_validation(capsys, disagree_csv):

@@ -1,8 +1,4 @@
-"""Smoke test: the quick demo scripts run to completion without warnings.
-
-Demo 05 is left out; it takes tens of seconds and `test_cli` already covers
-the `simulate` path it drives.
-"""
+"""Smoke test: every demo script runs to completion without warnings."""
 
 import os
 import pathlib
@@ -13,7 +9,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = ["01_three_methods.py", "02_prescribed_disagreement.py",
-         "03_closed_form_regions.py", "04_power_trajectory.py"]
+         "03_closed_form_regions.py", "04_power_trajectory.py",
+         "05_disagreement_rates.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -15,7 +15,9 @@ from pairrank.core import (
     to_multiplicative,
 )
 from pairrank.errors import InvalidMatrix, NoConvergence, TieDetected
+from pairrank.analysis import hadamard_trajectory
 from pairrank.methods import (
+    _log_perron_batch,
     _perron_batch,
     _tropical_kernel,
     hadamard_power,
@@ -110,6 +112,39 @@ def test_perron_batch_members_match_batches_of_one(rand_add):
             with pytest.raises(NoConvergence) as exc:
                 principal_scores(x, max_iter=budget)
             assert str(exc.value) == str(NoConvergence(budget, float(steps[k])))
+
+
+def test_log_perron_batch_members_match_batches_of_one(rand_add):
+    # shifted log powers of one 6x6 matrix, as a trajectory builds them: larger
+    # powers need more steps, and k = 60 needs more than the budget
+    rng = np.random.default_rng(11)
+    x = to_multiplicative(rand_add(rng, 6))
+    ks = np.array([0.05, 0.5, 1.0, 2.0, 8.0, 60.0])
+    log_k = ks[:, None, None] * np.log(x.entries)
+    peak = log_k.max(axis=(1, 2))
+    stack, shifts = log_k - peak[:, None, None], ks * tropical_eigenvalue(x) - peak
+    budget = 60
+    vectors, converged = _log_perron_batch(stack, shifts, max_iter=budget)
+    assert converged.tolist() == [True] * 5 + [False]
+    for k in range(len(ks)):
+        one, one_converged = _log_perron_batch(stack[k:k + 1], shifts[k:k + 1], max_iter=budget)
+        assert one.tobytes() == vectors[k:k + 1].tobytes()
+        assert one_converged[0] == converged[k]
+    assert not _log_perron_batch(stack[5:], shifts[5:], max_iter=budget)[1][0]
+    assert _log_perron_batch(stack[5:], shifts[5:])[1][0]
+
+
+def test_trajectory_points_match_point_by_point(rand_add):
+    # 200 points at n = 64 span fifty stacks
+    x = to_multiplicative(rand_add(np.random.default_rng(5), 64, 0.5))
+    grid = np.geomspace(0.05, 60.0, 200)
+    stacked = hadamard_trajectory(x, k_grid=grid)
+    assert len(stacked) == 200 and all(p.converged for p in stacked)
+    for k, p in zip(grid, stacked):
+        alone = hadamard_trajectory(x, k_grid=[k])[0]
+        assert (p.k, p.ranking, p.converged) == (alone.k, alone.ranking, alone.converged)
+        for field in ("v_normalized", "log_v", "v_root"):
+            assert getattr(p, field).tobytes() == getattr(alone, field).tobytes()
 
 
 def test_principal_scores_requires_multiplicative(rand_add):
