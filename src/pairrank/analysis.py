@@ -155,7 +155,8 @@ def hadamard_trajectory(x: ComparisonMatrix, k_grid=None,
         ks = grid[lo:lo + per_stack]
         log_k = ks[:, None, None] * log_x
         shift = np.maximum.reduce(log_k, (1, 2))
-        u, converged = _log_perron_batch(log_k - shift[:, None, None], ks * lam_add - shift, tol=tol)
+        log_k -= shift[:, None, None]
+        u, converged = _log_perron_batch(log_k, ks * lam_add - shift, tol=tol)
         log_v = u[converged] - u[converged, :1]
         order, _, _, tied = _rank_rows(log_v)
         with np.errstate(over="ignore"):

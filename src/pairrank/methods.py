@@ -149,7 +149,7 @@ def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray,
     """
     b, n = log_x.shape[0], log_x.shape[1]
     vectors, converged = np.empty((b, n)), np.zeros(b, dtype=bool)
-    live, xs, shift = np.arange(b), log_x, np.asarray(log_shift, dtype=float)[:, None]
+    live, xs, shift = np.arange(b), log_x, log_shift[:, None]
     u, buf = np.zeros((b, n)), np.empty((b, n, n))
     for _ in range(max_iter if b else 0):   # an empty stack has nothing to run
         t = buf[:live.size]

@@ -130,7 +130,6 @@ def test_log_perron_batch_members_match_batches_of_one(rand_add):
         one, one_converged = _log_perron_batch(stack[k:k + 1], shifts[k:k + 1], max_iter=budget)
         assert one.tobytes() == vectors[k:k + 1].tobytes()
         assert one_converged[0] == converged[k]
-    assert not _log_perron_batch(stack[5:], shifts[5:], max_iter=budget)[1][0]
     assert _log_perron_batch(stack[5:], shifts[5:])[1][0]
 
 
