@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -144,8 +145,9 @@ def hadamard_trajectory(x: ComparisonMatrix, k_grid=None,
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("trajectories are defined for multiplicative matrices")
     grid = default_k_grid() if k_grid is None else np.asarray(list(k_grid), dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("k_grid must be positive and strictly increasing")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) \
+            or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise ValueError("k_grid must be finite, positive and strictly increasing")
 
     log_x = np.log(x.entries)
     lam_add = tropical_eigenvalue(to_additive(x))
@@ -362,10 +364,11 @@ def monte_carlo_disagreement(cfg: SimulationConfig, jobs: int = 1) -> Disagreeme
     rate denominators.  The trials are solved in stacked chunks, each trial
     decided by the first of hodge, tropical and Perron to fail or tie, as
     _tally_stack lists.  The keyed streams make the report identical for any
-    jobs value.
+    jobs value, so jobs is capped at the CPU count.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least one")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or cfg.trials < 64:
         parts = [_simulate_range(cfg, 0, cfg.trials)]
     else:

@@ -1,5 +1,16 @@
 """Command line front end: matrix I/O, five subcommands, report formatting.
 
+Each subcommand accepts only the options it reads; the first --format choice
+is the default:
+
+  rank MATRIX        --scale --base --reciprocity-tol --format {json,table,csv}
+  witness            --pair --n --sigma1 --sigma2 --out [--report] [--base]
+  classify4 MATRIX   --scale --base --reciprocity-tol --margin --format {json,table}
+  simulate           --n --trials [--noise --sd --halfwidth --scores --seed --jobs]
+                     --format {json,table}
+  trajectory MATRIX  --scale --base --reciprocity-tol --k-min --k-max --points
+                     --format {csv,json}
+
 Exit codes: 0 success, 1 input or validation error, 2 degenerate or boundary
 result (rank with tied scores, classify4 within margin of a region wall).
 Numeric output carries 12 significant digits in JSON and CSV, 3 decimals in
@@ -18,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    METHOD_PAIRS,
     GaussianUpperTriangle,
     SimulationConfig,
     UniformSTperp,
@@ -114,7 +126,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def _matrix_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scale", choices=["multiplicative", "additive"], default=None,
                         help="override the scale declared in (or defaulted by) the file")
@@ -122,11 +134,6 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="base for additive/multiplicative conversion (default e)")
     common.add_argument("--reciprocity-tol", type=float, default=1e-9,
                         help="tolerated reciprocity defect before repair (default 1e-9)")
-    common.add_argument("--format", choices=["json", "table", "csv"], default=None,
-                        help="output format (default depends on the subcommand)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (simulate)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for simulate (default 1)")
     return common
 
 
@@ -145,8 +152,6 @@ def _parse_scores(text: str) -> np.ndarray:
 
 # -- rank ----------------------------------------------------------------------
 
-_PAIRS = ("hodge-tropical", "hodge-principal", "tropical-principal")
-
 
 def _rank_report(args) -> dict:
     m = _load(args, args.matrix)
@@ -164,7 +169,7 @@ def _rank_report(args) -> dict:
             for name, s in scores.items()}
     rankings = {name: rank_of(s) for name, s in scores.items()}
     taus = {}
-    for pair in _PAIRS:
+    for pair in METHOD_PAIRS:
         first, second = pair.split("-")
         taus[pair] = kendall_tau(rankings[first], rankings[second])
     return {
@@ -186,13 +191,12 @@ def _rank_report(args) -> dict:
 
 def cmd_rank(args) -> int:
     report = _rank_report(args)
-    fmt = args.format or "json"
-    if fmt == "json":
+    if args.format == "json":
         _print(_json_dumps(report))
         return 0
     names = ("principal", "hodge", "tropical")
     n = len(report["scores"]["principal"])
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["method," + ",".join(f"s{i}" for i in range(1, n + 1)) + ",ranking"]
         for name in names:
             row = ",".join(_g12(v) for v in report["scores"][name])
@@ -210,7 +214,7 @@ def cmd_rank(args) -> int:
     uniq = "unique" if report["tropical"]["unique"] else "non-unique"
     lines.append(f"tropical eigenvalue {_f3(report['tropical']['eigenvalue'])} ({uniq})")
     lines.append("kendall tau " + "  ".join(
-        f"{p}={report['kendall_tau'][p]}" for p in _PAIRS))
+        f"{p}={report['kendall_tau'][p]}" for p in METHOD_PAIRS))
     _print("\n".join(lines))
     return 0
 
@@ -287,7 +291,7 @@ def cmd_classify4(args) -> int:
             "unique": trop.unique,
         },
     }
-    if (args.format or "json") == "table":
+    if args.format == "table":
         lines = [
             f"input: {report['input']}",
             f"region {report['region']} (facet {report['facet']}), "
@@ -333,11 +337,11 @@ def cmd_simulate(args) -> int:
         "rates": rep.rates,
         "mean_kendall": rep.mean_kendall,
     }
-    if (args.format or "json") == "table":
+    if args.format == "table":
         lines = [f"n={rep.n} trials={rep.trials} seed={rep.seed} "
                  f"effective={rep.effective} degenerate={rep.degenerate} "
                  f"failures={rep.failures}"]
-        for pair in _PAIRS:
+        for pair in METHOD_PAIRS:
             rate = rep.rates[pair]
             shown = _f3(rate) if math.isfinite(rate) else "n/a"
             lines.append(f"{pair:<20} count {rep.counts[pair]:>6}  rate {shown}")
@@ -353,12 +357,13 @@ def cmd_simulate(args) -> int:
 def cmd_trajectory(args) -> int:
     m = _load(args, args.matrix)
     x = to_multiplicative(m, base=args.base)
-    if args.k_min <= 0 or args.k_max <= args.k_min or args.points < 2:
-        raise ValueError("need 0 < k-min < k-max and at least two points")
+    # np.geomspace warns on a bound that is not finite
+    if not 0 < args.k_min < args.k_max < math.inf or args.points < 2:
+        raise ValueError("need finite 0 < k-min < k-max and at least two points")
     grid = np.geomspace(args.k_min, args.k_max, args.points)
     points = hadamard_trajectory(x, k_grid=grid)
     n = x.n
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         out = [{
             "k": p.k,
             "v": list(p.v_normalized) if p.converged else None,
@@ -384,7 +389,7 @@ def cmd_trajectory(args) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    common = _common_flags()
+    common = _matrix_flags()
     parser = _Parser(prog="pairrank",
                      description="Rank from pairwise comparison matrices and "
                                  "probe where the three classical methods disagree.")
@@ -393,16 +398,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rank", parents=[common],
                        help="score and rank one comparison matrix three ways")
     p.add_argument("matrix", help="CSV matrix file")
+    p.add_argument("--format", choices=["json", "table", "csv"], default="json")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="construct a matrix giving two prescribed rankings")
+    p = sub.add_parser("witness", help="construct a matrix giving two prescribed rankings")
     p.add_argument("--pair", required=True, choices=[pr.value for pr in Pair])
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--sigma1", required=True, help="ranking, e.g. 1,2,3,4 or 1>2>3>4")
     p.add_argument("--sigma2", required=True)
     p.add_argument("--out", required=True, help="output CSV path for the matrix")
     p.add_argument("--report", default=None, help="optional JSON report path")
+    p.add_argument("--base", type=float, default=math.e,
+                   help="base for the multiplicative pairs (default e)")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("classify4", parents=[common],
@@ -410,10 +417,10 @@ def _build_parser() -> _Parser:
     p.add_argument("matrix")
     p.add_argument("--margin", type=float, default=1e-7,
                    help="relative wall margin treated as boundary (default 1e-7)")
+    p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_classify4)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="Monte Carlo disagreement rates on noisy matrices")
+    p = sub.add_parser("simulate", help="Monte Carlo disagreement rates on noisy matrices")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--trials", required=True, type=int)
     p.add_argument("--noise", choices=["gaussian", "stperp"], default="gaussian")
@@ -423,6 +430,10 @@ def _build_parser() -> _Parser:
                    help="stperp coefficient half-width (default 1.0)")
     p.add_argument("--scores", default=None,
                    help="comma-separated additive true scores (default none)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count (default 1)")
+    p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("trajectory", parents=[common],
@@ -431,6 +442,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-min", type=float, default=0.05)
     p.add_argument("--k-max", type=float, default=60.0)
     p.add_argument("--points", type=int, default=60)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_trajectory)
     return parser
 

@@ -146,6 +146,12 @@ def _reciprocity_defect(x: np.ndarray) -> np.ndarray:
     return np.abs(x * np.swapaxes(x, -1, -2) - 1.0).max(axis=(-2, -1))
 
 
+def _check_tolerance(tol: float) -> None:
+    """Reject a tolerance that is negative or not finite: NaN would pass any defect."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0; got {tol:g}")
+
+
 def additive_matrix(arr: Iterable, *, symmetry_tol: float = 1e-9) -> ComparisonMatrix:
     """Validate and repair a raw array into an additive comparison matrix.
 
@@ -153,6 +159,7 @@ def additive_matrix(arr: Iterable, *, symmetry_tol: float = 1e-9) -> ComparisonM
     (relative to the larger magnitude of the pair, with an absolute floor of
     one); the pair is then replaced by its exact antisymmetrization.
     """
+    _check_tolerance(symmetry_tol)
     a = np.asarray(arr, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
@@ -178,6 +185,7 @@ def multiplicative_matrix(arr: Iterable, *, reciprocity_tol: float = 1e-9) -> Co
     by sqrt(X[i, j] / X[j, i]) and mirrored, which preserves the ratio of the
     pair while making the matrix exactly reciprocal.
     """
+    _check_tolerance(reciprocity_tol)
     x = np.asarray(arr, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {x.shape}")

@@ -295,6 +295,8 @@ def _select_regions(a: np.ndarray, margin: float):
     pair in relabeling-major order, the pairs that clear margin * scale, the
     max-norm of the cycle part, and the numerically strongly transitive rows.
     """
+    if not margin >= 0.0:   # a negative margin accepts the wrong side of a wall
+        raise ValueError(f"margin must be a number >= 0; got {margin:g}")
     h = a.sum(axis=2) / 4.0
     h = h - h.mean(axis=1, keepdims=True)
     scale = np.abs(a - (h[:, :, None] - h[:, None, :])).max(axis=(1, 2))

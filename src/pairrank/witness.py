@@ -161,14 +161,20 @@ def _method_scores(m: ComparisonMatrix, method: str) -> ScoreVector:
 
 
 def _verify(matrix: ComparisonMatrix, req: WitnessRequest) -> WitnessVerification:
+    """Recompute both rankings, the second method's first; raise unless they match."""
     m1, m2 = req.pair.methods
-    s1, s2 = _method_scores(matrix, m1), _method_scores(matrix, m2)
-    r1, r2 = rank_of(s1), rank_of(s2)
-    if r1 != req.sigma1 or r2 != req.sigma2:
-        raise VerificationFailed(
-            f"witness does not certify: {m1} ranks {r1} (wanted {req.sigma1}), "
-            f"{m2} ranks {r2} (wanted {req.sigma2})")
+    s2 = _method_scores(matrix, m2)
+    r2 = _certified(rank_of(s2), m2, req.sigma2)
+    s1 = _method_scores(matrix, m1)
+    r1 = _certified(rank_of(s1), m1, req.sigma1)
     return WitnessVerification(m1, m2, s1, s2, r1, r2)
+
+
+def _certified(ranking: Ranking, method: str, wanted: Ranking) -> Ranking:
+    if ranking != wanted:
+        raise VerificationFailed(
+            f"witness does not certify: {method} ranks {ranking} (wanted {wanted})")
+    return ranking
 
 
 def _check_base(base: float) -> None:
@@ -307,7 +313,26 @@ def base_hodge_zero_tropical_generic(n: int) -> ComparisonMatrix:
 # -- Hodge vs tropical ---------------------------------------------------------
 
 
-def witness_hodge_tropical(req: WitnessRequest, *, eps_start: float = 1.0) -> WitnessResult:
+def _relabeled_base(req: WitnessRequest) -> ComparisonMatrix:
+    """The shared base, relabeled so that its tropical ranking is sigma2."""
+    base = base_hodge_zero_tropical_generic(req.n)
+    return relabel(base, perm_between(rank_of(tropical_solve(base).eigenvector), req.sigma2))
+
+
+def _epsilon_search(req: WitnessRequest, relabeled: ComparisonMatrix, eps: float) -> WitnessResult:
+    """First relabeled + eps * W, halving eps from the given start, that verifies."""
+    w = strongly_transitive_from_scores(_descending_scores(req.sigma1))
+    for _ in range(_MAX_HALVINGS):
+        candidate = ComparisonMatrix(relabeled.entries + eps * w.entries, Scale.ADDITIVE)
+        try:
+            return WitnessResult(candidate, req, _verify(candidate, req),
+                                 WitnessParameters(epsilon=eps))
+        except (TieDetected, VerificationFailed):
+            eps /= 2.0
+    raise ConstructionFailed("epsilon", f"no epsilon down to 2^-{_MAX_HALVINGS} worked")
+
+
+def witness_hodge_tropical(req: WitnessRequest) -> WitnessResult:
     """Additive witness: Hodge ranks sigma1 while the tropical method ranks sigma2.
 
     Starts from a base with zero Hodge scores and tie-free tropical ranking,
@@ -322,33 +347,23 @@ def witness_hodge_tropical(req: WitnessRequest, *, eps_start: float = 1.0) -> Wi
     if req.sigma1 == req.sigma2:
         w = strongly_transitive_from_scores(_descending_scores(req.sigma1))
         return WitnessResult(w, req, _verify(w, req), WitnessParameters(epsilon=0.0))
-
-    base = base_hodge_zero_tropical_generic(req.n)
-    base_rank = rank_of(tropical_solve(base).eigenvector)
-    relabeled = relabel(base, perm_between(base_rank, req.sigma2))
-    w = strongly_transitive_from_scores(_descending_scores(req.sigma1))
-
-    eps = eps_start
-    for _ in range(_MAX_HALVINGS):
-        candidate = ComparisonMatrix(relabeled.entries + eps * w.entries, Scale.ADDITIVE)
-        try:
-            if rank_of(tropical_solve(candidate).eigenvector) == req.sigma2 \
-                    and rank_of(hodge_scores(candidate)) == req.sigma1:
-                return WitnessResult(candidate, req, _verify(candidate, req),
-                                     WitnessParameters(epsilon=eps))
-        except TieDetected:
-            pass
-        eps /= 2.0
-    raise ConstructionFailed("epsilon", f"no epsilon down to 2^-{_MAX_HALVINGS} worked")
+    return _epsilon_search(req, _relabeled_base(req), 1.0)
 
 
 # -- Hodge vs principal --------------------------------------------------------
 
 
+def _same_rankings(req: WitnessRequest, base: float) -> WitnessResult:
+    """A principal pair's witness for sigma1 == sigma2: the transitive matrix itself."""
+    with _float_range(base):
+        x = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
+    return WitnessResult(x, req, _verify(x, req), WitnessParameters(k=1.0, base=base))
+
+
 def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> WitnessResult:
     """Multiplicative witness: Hodge ranks sigma1, the principal eigenvector sigma2.
 
-    Exponentiates the Hodge-vs-tropical witness and doubles the Hadamard
+    Exponentiates a Hodge-vs-tropical witness and doubles the Hadamard
     power k until the principal ranking matches the tropical one (sigma2);
     the Hodge ranking is invariant in k.  A power is skipped when its log
     entries pass _LOG_ENTRY_CAP or its |l2/l1| predicts more than twice the
@@ -359,22 +374,16 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
     _check_base(base)
     if req.sigma1 == req.sigma2:
-        with _float_range(base):
-            x = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
-        return WitnessResult(x, req, _verify(x, req),
-                             WitnessParameters(k=1.0, base=base))
+        return _same_rankings(req, base)
 
     inner_req = WitnessRequest(req.n, Pair.HODGE_TROPICAL, req.sigma1, req.sigma2)
-    inner = witness_hodge_tropical(inner_req)
+    relabeled = _relabeled_base(inner_req)
+    inner = _epsilon_search(inner_req, relabeled, 1.0)
     # shrinking epsilon well below the first workable value restores the base
     # matrix's full tropical gaps, which moves the crossover power k down into
     # the range where power iteration still converges
-    eps = inner.parameters.epsilon / 8.0
-    if eps > 0.0:
-        try:
-            inner = witness_hodge_tropical(inner_req, eps_start=eps)
-        except ConstructionFailed:
-            pass
+    with contextlib.suppress(ConstructionFailed):
+        inner = _epsilon_search(inner_req, relabeled, inner.parameters.epsilon / 8.0)
     log_entries = inner.matrix.entries * math.log(base)
     max_log = float(np.max(np.abs(log_entries)))
     with _float_range(base):   # an entry that underflows to 0 mirrors to inf
@@ -549,13 +558,8 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
     _check_base(base)
     if req.sigma1 == req.sigma2:
-        with _float_range(base):
-            x = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
-        return WitnessResult(x, req, _verify(x, req),
-                             WitnessParameters(k=1.0, base=base))
+        return _same_rankings(req, base)
 
-    x = None
-    spec = None
     for L in (Fraction(2), Fraction(3), Fraction(4)):
         spec = default_perturbation(req.n, L)
         x = perturbed_matrix(spec)
@@ -580,14 +584,10 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
             k /= 2.0
             continue
         try:
-            if rank_of(principal_scores(candidate).eigenvector) == req.sigma2 \
-                    and rank_of(tropical_solve(to_additive(candidate)).eigenvector) == req.sigma1:
-                return WitnessResult(
-                    candidate, req, _verify(candidate, req),
-                    WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base))
-        except TieDetected:
-            pass
-        k /= 2.0
+            return WitnessResult(candidate, req, _verify(candidate, req),
+                                 WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base))
+        except (TieDetected, VerificationFailed):
+            k /= 2.0
     raise KExhausted(k)
 
 

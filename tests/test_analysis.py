@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pairrank import analysis
 from pairrank.analysis import (
     METHOD_PAIRS,
     GaussianUpperTriangle,
@@ -104,6 +105,9 @@ def test_trajectory_grid_validation(disagree_matrix, rand_add):
         hadamard_trajectory(disagree_matrix, k_grid=[1.0, 1.0])
     with pytest.raises(ValueError):
         hadamard_trajectory(disagree_matrix, k_grid=[-1.0, 2.0])
+    for grid in ([1.0, math.inf], [math.nan, 1.0], [0.5, math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            hadamard_trajectory(disagree_matrix, k_grid=grid)
     rng = np.random.default_rng(5)
     with pytest.raises(InvalidMatrix):
         hadamard_trajectory(rand_add(rng, 4))
@@ -213,6 +217,31 @@ def test_simulation_parallel_equals_serial():
     serial = monte_carlo_disagreement(cfg, jobs=1)
     parallel = monte_carlo_disagreement(cfg, jobs=3)
     assert serial == parallel
+
+
+def test_simulation_workers_capped_at_cpu_count(monkeypatch):
+    # a serial stand-in for the executor records the worker count it is given,
+    # so no process is ever started
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    cfg = SimulationConfig(n=4, trials=256, noise=GaussianUpperTriangle(1.0), seed=11)
+    assert monte_carlo_disagreement(cfg, jobs=64) == monte_carlo_disagreement(cfg, jobs=1)
+    assert workers == [2]
 
 
 def test_simulation_bucket_bookkeeping():

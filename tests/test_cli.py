@@ -71,6 +71,16 @@ def test_rank_reciprocity_violation_exits_one(capsys, tmp_path):
     assert "reciprocity defect" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_rank_rejects_tolerance_that_passes_any_defect(capsys, tmp_path, tol):
+    # the defect at entry (1, 2) is 0.8; a NaN tolerance used to let it through
+    p = tmp_path / "defect.csv"
+    p.write_text("1,2,5,3\n0.1,1,4,2\n0.2,0.25,1,7\n0.333,0.5,0.142857,1\n")
+    code, out, err = run(capsys, "rank", str(p), "--reciprocity-tol", tol)
+    assert (code, out) == (1, "")
+    assert err == f"error: tolerance must be a finite number >= 0; got {float(tol):g}\n"
+
+
 def test_rank_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "rank", str(tmp_path / "nope.csv"))
     assert code == 1
@@ -95,6 +105,52 @@ def test_unknown_flag_exits_one(disagree_csv):
     with pytest.raises(SystemExit) as exc:
         main(["rank", str(disagree_csv), "--no-such-flag"])
     assert exc.value.code == 1
+
+
+# Options a subcommand accepted without reading them, and --format choices it
+# printed in another format; each is now a usage error.
+_UNREAD_OPTIONS = [
+    ("rank", ("--seed", "3")),
+    ("rank", ("--jobs", "4")),
+    ("witness", ("--scale", "additive")),
+    ("witness", ("--reciprocity-tol", "0.05")),
+    ("witness", ("--format", "table")),
+    ("witness", ("--seed", "3")),
+    ("witness", ("--jobs", "4")),
+    ("classify4", ("--seed", "3")),
+    ("classify4", ("--jobs", "4")),
+    ("classify4", ("--format", "csv")),
+    ("simulate", ("--scale", "additive")),
+    ("simulate", ("--base", "10")),
+    ("simulate", ("--reciprocity-tol", "0.05")),
+    ("simulate", ("--format", "csv")),
+    ("trajectory", ("--seed", "3")),
+    ("trajectory", ("--jobs", "4")),
+    ("trajectory", ("--format", "table")),
+]
+
+
+@pytest.mark.parametrize("command,option", _UNREAD_OPTIONS,
+                         ids=[f"{c}{'='.join(o)}" for c, o in _UNREAD_OPTIONS])
+def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, tmp_path, disagree_csv,
+                                                            command, option):
+    argv = {
+        "rank": ["rank", str(disagree_csv), "--reciprocity-tol", "0.05"],
+        "witness": ["witness", "--pair", "hodge-tropical", "--n", "4",
+                    "--sigma1", "1>2>3>4", "--sigma2", "4>3>2>1",
+                    "--out", str(tmp_path / "w.csv"), "--report", str(tmp_path / "w.json")],
+        "classify4": ["classify4", str(disagree_csv), "--reciprocity-tol", "0.05"],
+        "simulate": ["simulate", "--n", "4", "--trials", "20"],
+        "trajectory": ["trajectory", str(disagree_csv), "--reciprocity-tol", "0.05",
+                       "--points", "4"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *option])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pairrank") and "error:" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parser_reuse_matches_fresh_processes(capsys, disagree_csv):
@@ -281,6 +337,24 @@ def test_classify4_boundary_exits_two(capsys, tmp_path):
     assert "boundary" in err
 
 
+# The third draw of default_rng(3).  With --margin -1 the closed form took the
+# region of relabeling (2,1,4,3) and eigenvalue 0.5517; the max-plus eigenvalue
+# is 0.5861.  With --margin nan no region matched and RegionNotFound ended it.
+@pytest.mark.parametrize("margin", ["-1", "nan"])
+def test_classify4_rejects_margin_below_zero_or_nan(capsys, tmp_path, margin):
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        g = np.triu(rng.normal(size=(4, 4)), 1)
+    path = tmp_path / "a.csv"
+    save_matrix(path, ComparisonMatrix(g - g.T, Scale.ADDITIVE))
+    code, out, _ = run(capsys, "classify4", str(path))
+    assert code == 0
+    assert json.loads(out)["tropical"]["eigenvalue"] == pytest.approx(0.5861247271)
+    code, out, err = run(capsys, "classify4", str(path), "--margin", margin)
+    assert (code, out) == (1, "")
+    assert err == f"error: margin must be a number >= 0; got {float(margin):g}\n"
+
+
 # -- simulate ------------------------------------------------------------------
 
 
@@ -423,6 +497,14 @@ def test_trajectory_grid_validation(capsys, disagree_csv):
                        "--reciprocity-tol", "0.05", "--k-min", "-1")
     assert code == 1
     assert "k-min" in err or "k_min" in err or "positive" in err.lower() or "need" in err
+    # a bound that is not finite is rejected before np.geomspace can warn on it
+    for bound in (("--k-max", "inf"), ("--k-max", "nan"), ("--k-min", "nan")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "trajectory", str(disagree_csv),
+                                 "--reciprocity-tol", "0.05", *bound)
+        assert (code, out) == (1, "")
+        assert err == "error: need finite 0 < k-min < k-max and at least two points\n"
 
 
 # -- module entry point --------------------------------------------------------

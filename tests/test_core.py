@@ -67,6 +67,14 @@ def test_multiplicative_matrix_rejects_reciprocity_violation():
         multiplicative_matrix([[1.0, 2.0], [2.0, 1.0]])
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+def test_validators_reject_tolerance_that_passes_any_defect(tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        additive_matrix([[0.0, 1.0], [-1.0, 0.0]], symmetry_tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        multiplicative_matrix([[1.0, 2.0], [0.5, 1.0]], reciprocity_tol=tol)
+
+
 def test_matrix_entries_read_only():
     m = additive_matrix([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):

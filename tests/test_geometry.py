@@ -16,6 +16,7 @@ from pairrank.core import (
 )
 from pairrank.errors import BoundaryCase, InvalidMatrix
 from pairrank.geometry import (
+    _closed_form_batch,
     classify_region4,
     cycle_vector,
     f_basis4,
@@ -111,6 +112,17 @@ def test_classify_interior_point_lands_in_r1():
 def test_classify_wall_point_is_boundary():
     with pytest.raises(BoundaryCase):
         classify_region4(from_f([6.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize("margin", [-1.0, float("nan")])
+def test_closed_form_entry_points_reject_margin_below_zero_or_nan(margin):
+    # a negative margin accepts a region on the wrong side of its walls, and
+    # NaN clears no wall at all
+    a = from_f([5.0, 2.0, 1.0])
+    for solve in (classify_region4, tropical_closed_form4,
+                  lambda m, margin: _closed_form_batch(m.entries[None], margin)):
+        with pytest.raises(ValueError, match="margin must be a number >= 0"):
+            solve(a, margin=margin)
 
 
 def test_classify_strongly_transitive_is_boundary():

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -37,6 +38,40 @@ from pairrank.witness import (
 
 def random_ranking(rng: np.random.Generator, n: int) -> Ranking:
     return Ranking(tuple(int(v) + 1 for v in rng.permutation(n)))
+
+
+@pytest.mark.parametrize("pair", [Pair.HODGE_TROPICAL, Pair.TROPICAL_PRINCIPAL])
+def test_search_solves_the_accepted_matrix_once_per_method(monkeypatch, pair):
+    # the verifier is the search's acceptance test, so nothing solves the
+    # returned matrix again after it
+    calls = collections.Counter()
+
+    def counting(solver):
+        def counted(m, *args, **kwargs):
+            calls[solver.__name__, m.entries.tobytes()] += 1
+            return solver(m, *args, **kwargs)
+        return counted
+
+    for name in ("hodge_scores", "tropical_solve", "principal_scores"):
+        monkeypatch.setattr(witness, name, counting(getattr(witness, name)))
+    req = WitnessRequest(5, pair, Ranking.from_string("1>2>3>4>5"),
+                         Ranking.from_string("5>4>3>2>1"))
+    m = generate_witness(req).matrix
+    keys = {"hodge": ("hodge_scores", m.entries.tobytes()),
+            "tropical": ("tropical_solve", to_additive(m).entries.tobytes()),
+            "principal": ("principal_scores", m.entries.tobytes())}
+    assert [calls[keys[method]] for method in pair.methods] == [1, 1]
+
+
+def test_hodge_principal_builds_its_base_once(monkeypatch):
+    built = []
+    real = witness.base_hodge_zero_tropical_generic
+    monkeypatch.setattr(witness, "base_hodge_zero_tropical_generic",
+                        lambda n: built.append(n) or real(n))
+    req = WitnessRequest(4, Pair.HODGE_PRINCIPAL, Ranking.from_string("1>4>3>2"),
+                         Ranking.from_string("4>3>2>1"))
+    generate_witness(req)
+    assert built == [4]
 
 
 # -- request validation --------------------------------------------------------
