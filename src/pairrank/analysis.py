@@ -184,8 +184,8 @@ class GaussianUpperTriangle:
     sd: float
 
     def __post_init__(self) -> None:
-        if self.sd <= 0:
-            raise ValueError("sd must be positive")
+        if not (math.isfinite(self.sd) and self.sd > 0):
+            raise ValueError(f"sd must be a finite number above 0; got {self.sd:g}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         variates, shape = self._sampler(n)
@@ -208,8 +208,8 @@ class UniformSTperp:
     halfwidth: float
 
     def __post_init__(self) -> None:
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
+        if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
+            raise ValueError(f"halfwidth must be a finite number above 0; got {self.halfwidth:g}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         variates, shape = self._sampler(n)

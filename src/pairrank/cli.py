@@ -235,7 +235,10 @@ def cmd_witness(args) -> int:
         sigma1=Ranking.from_string(args.sigma1),
         sigma2=Ranking.from_string(args.sigma2),
     )
-    result = generate_witness(req, base=args.base)
+    if args.base is not None and req.pair is Pair.HODGE_TROPICAL:
+        raise ValueError("--base applies only to the multiplicative pairs "
+                         "(hodge-principal, tropical-principal)")
+    result = generate_witness(req, base=math.e if args.base is None else args.base)
     params = result.parameters
     ver = result.verification
     report = {
@@ -408,8 +411,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma2", required=True)
     p.add_argument("--out", required=True, help="output CSV path for the matrix")
     p.add_argument("--report", default=None, help="optional JSON report path")
-    p.add_argument("--base", type=float, default=math.e,
-                   help="base for the multiplicative pairs (default e)")
+    p.add_argument("--base", type=float, default=None,
+                   help="base for the multiplicative pairs only (default e)")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("classify4", parents=[common],

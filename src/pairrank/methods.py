@@ -7,7 +7,7 @@
   power iteration. One batched power iteration (_perron_batch) runs a stack
   of matrices, each stopping where it would stop alone; principal_scores
   passes a stack of one, and the Monte Carlo study passes its trials. It
-  solves every matrix built as floats, witness probes included. Trajectory
+  solves every matrix built as floats, witness candidates included. Trajectory
   powers, which can leave float range, go to the one log-domain loop
   (_log_perron_batch): a diagonally shifted power iteration, batch-first in
   the same way, that solves a stack of grid points.

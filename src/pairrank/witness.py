@@ -5,7 +5,7 @@ realized by a comparison matrix on which two chosen scoring methods disagree
 exactly that way: the first method of the pair ranks items by sigma1, the
 second by sigma2.  Each construction here returns the matrix together with a
 machine verification that recomputes both rankings from scratch through the
-methods module.
+methods module; that verification is every search's acceptance test.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ _MAX_DOUBLINGS = 60
 # magnitude of headroom
 _LOG_ENTRY_CAP = 600.0
 # The Perron solver stops on an absolute step, so components far below its
-# tolerance can stop while wrong by orders of magnitude; a probe counts only when
+# tolerance can stop while wrong by orders of magnitude; a solve verifies only when
 # its Collatz-Wielandt bounds min_i, max_i (Xv)_i/v_i agree to this log spread.
-_PROBE_CW_SPREAD = 1e-3
+_VERIFY_CW_SPREAD = 1e-3
 # principal_scores needs about ln(1e-12)/ln|l2/l1| steps (Golub & Van Loan,
-# ch. 7); a power whose eigenvalue ratio predicts twice the probe budget is skipped
-_PROBE_MAX_ITER = 20000
-_PROBE_MAX_RATIO = math.exp(math.log(1e-12) / (2 * _PROBE_MAX_ITER))
+# ch. 7); a power whose eigenvalue ratio predicts twice the verifier's budget is skipped
+_VERIFY_MAX_ITER = 20000
+_PROBE_MAX_RATIO = math.exp(math.log(1e-12) / (2 * _VERIFY_MAX_ITER))
 
 
 class Pair(enum.Enum):
@@ -156,7 +156,13 @@ def _method_scores(m: ComparisonMatrix, method: str) -> ScoreVector:
     if method == "principal":
         if m.scale is not Scale.MULTIPLICATIVE:
             raise VerificationFailed("principal scores require a multiplicative matrix")
-        return principal_scores(m).eigenvector
+        v = principal_scores(m, max_iter=_VERIFY_MAX_ITER).eigenvector
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = np.ptp(np.log(m.entries @ v.values / v.values))
+        if not spread <= _VERIFY_CW_SPREAD:
+            raise VerificationFailed(
+                f"principal solve not certified: Collatz-Wielandt log spread {spread:.3g}")
+        return v
     raise VerificationFailed(f"unknown method {method!r}")
 
 
@@ -298,14 +304,11 @@ def base_hodge_zero_tropical_generic(n: int) -> ComparisonMatrix:
         if maxima_ok and np.min(np.abs(np.asarray(on_cycle) - mu)) > 1e-9:
             sol = tropical_solve(a)
             if abs(sol.eigenvalue - mu) <= 1e-9 and sol.unique:
-                try:
+                with contextlib.suppress(TieDetected):
                     rank_of(sol.eigenvector)
-                except TieDetected:
-                    k *= 2.0
-                    continue
-                if float(np.max(np.abs(hodge_scores(a).values))) > 1e-12:
-                    raise ConstructionFailed("hodge-zero", "row sums drifted")
-                return a
+                    if float(np.max(np.abs(hodge_scores(a).values))) > 1e-12:
+                        raise ConstructionFailed("hodge-zero", "row sums drifted")
+                    return a
         k *= 2.0
     raise ConstructionFailed("row-max", f"no k up to 2^{_MAX_DOUBLINGS} pinned the cycle")
 
@@ -324,11 +327,10 @@ def _epsilon_search(req: WitnessRequest, relabeled: ComparisonMatrix, eps: float
     w = strongly_transitive_from_scores(_descending_scores(req.sigma1))
     for _ in range(_MAX_HALVINGS):
         candidate = ComparisonMatrix(relabeled.entries + eps * w.entries, Scale.ADDITIVE)
-        try:
+        with contextlib.suppress(TieDetected, VerificationFailed):
             return WitnessResult(candidate, req, _verify(candidate, req),
                                  WitnessParameters(epsilon=eps))
-        except (TieDetected, VerificationFailed):
-            eps /= 2.0
+        eps /= 2.0
     raise ConstructionFailed("epsilon", f"no epsilon down to 2^-{_MAX_HALVINGS} worked")
 
 
@@ -367,8 +369,8 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
     power k until the principal ranking matches the tropical one (sigma2);
     the Hodge ranking is invariant in k.  A power is skipped when its log
     entries pass _LOG_ENTRY_CAP or its |l2/l1| predicts more than twice the
-    probe budget (_PROBE_MAX_RATIO); the others get the verifier's Perron solve
-    under that budget, certified by Collatz-Wielandt bounds (_PROBE_CW_SPREAD).
+    verifier's iteration budget (_PROBE_MAX_RATIO); the first of the others
+    that the verifier accepts is the witness.
     """
     if req.pair is not Pair.HODGE_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
@@ -390,7 +392,7 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
         x = ComparisonMatrix(_mirror_multiplicative(np.exp(log_entries)), Scale.MULTIPLICATIVE)
 
     # k = 1, 2, 1/2, 4, 1/4, ...: grow toward the tropical limit, but also
-    # probe downward, since large powers make the matrix nearly cyclic and
+    # try powers below 1, since large powers make the matrix nearly cyclic and
     # stall the iteration while the ranking often crosses over well below 1
     for e in range(2 * _MAX_DOUBLINGS + 1):
         k = 2.0 ** ((e + 1) // 2 if e % 2 else -(e // 2))
@@ -400,17 +402,10 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
         second, top = np.sort(abs(np.linalg.eigvals(y.entries)))[-2:]
         if second > _PROBE_MAX_RATIO * top:
             continue
-        try:
-            v = principal_scores(y, max_iter=_PROBE_MAX_ITER).eigenvector
-            with np.errstate(divide="ignore", invalid="ignore"):
-                spread = np.ptp(np.log(y.entries @ v.values / v.values))
-            if not spread <= _PROBE_CW_SPREAD or rank_of(v) != req.sigma2:
-                continue
+        with contextlib.suppress(NoConvergence, TieDetected, VerificationFailed):
             return WitnessResult(
                 y, req, _verify(y, req),
                 WitnessParameters(k=k, epsilon=inner.parameters.epsilon, base=base))
-        except (NoConvergence, TieDetected):
-            continue
     raise KExhausted(2.0 ** _MAX_DOUBLINGS)
 
 
@@ -563,11 +558,9 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
     for L in (Fraction(2), Fraction(3), Fraction(4)):
         spec = default_perturbation(req.n, L)
         x = perturbed_matrix(spec)
-        try:
+        with contextlib.suppress(TieDetected):
             flat_rank = rank_of(principal_scores(x).eigenvector)
-        except TieDetected:
-            continue
-        break
+            break
     else:
         raise ConstructionFailed("perturbation", "no L gave a tie-free principal ranking")
 

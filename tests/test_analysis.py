@@ -191,6 +191,11 @@ def test_noise_parameter_validation():
         GaussianUpperTriangle(0.0)
     with pytest.raises(ValueError):
         UniformSTperp(-1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sd must be a finite number"):
+            GaussianUpperTriangle(value)
+        with pytest.raises(ValueError, match="halfwidth must be a finite number"):
+            UniformSTperp(value)
 
 
 def test_simulation_config_validation():

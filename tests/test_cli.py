@@ -255,16 +255,16 @@ def test_witness_tropical_principal_halves_k_past_overflowing_candidates(capsys,
 
 
 # sha256 of stdout and of the written matrix for `witness --pair hodge-principal`,
-# recorded when the Hadamard-power probes still ran in the log domain.  The n = 4
-# requests settle at k = 2, 1 and 2.  At n = 5 and 6 with the default base the
-# probes at k = 1 and 2 run out of iterations before k = 1/2 certifies.  With
-# --base 100 the probe at k = 4 stops after two steps on components far below
-# the solver's tolerance, and the search must pass it by to settle at k = 1/8.
-# The last two were recorded before the search skipped any power on its
-# eigenvalue ratio.  The n = 5 --base 1e4 request settles at k = 1/16, and every
-# power before it (k = 1, 2, 1/2, 1/4, 1/8) fails its probe; the n = 7 --base 10
-# one settles at k = 1/2 after two probes that stop on vectors the
-# Collatz-Wielandt check rejects.
+# recorded when the Hadamard powers were still solved in the log domain.  The
+# n = 4 requests settle at k = 2, 1 and 2.  At n = 5 and 6 with the default base
+# the verifier's solves at k = 1 and 2 run out of iterations before k = 1/2
+# certifies.  With --base 100 the solve at k = 4 stops after two steps on
+# components far below the solver's tolerance, and the search must pass it by
+# to settle at k = 1/8.  The last two were recorded before the search skipped
+# any power on its eigenvalue ratio.  The n = 5 --base 1e4 request settles at
+# k = 1/16, and every power before it (k = 1, 2, 1/2, 1/4, 1/8) fails
+# verification; the n = 7 --base 10 one settles at k = 1/2 after two solves that
+# stop on vectors the Collatz-Wielandt check rejects.
 _WITNESS_DIGESTS = [
     ("4", "1>4>3>2", "4>3>2>1", (),
      "103d9001f747149e1097aff32b4668892c2f910abd78cbe6a6f2ba7028178904",
@@ -303,6 +303,63 @@ def test_witness_stdout_is_pinned(capsys, tmp_path, monkeypatch,
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
     assert hashlib.sha256((tmp_path / "w.csv").read_bytes()).hexdigest() == csv_digest
+
+
+# sha256 of stdout and of the written matrix for `witness --pair
+# tropical-principal`, recorded while the verifier still solved its principal
+# side without an iteration budget or a Collatz-Wielandt certificate.  The
+# second request takes the sigma1 == sigma2 shortcut; at base 1e77 the k loop
+# halves past candidates that leave float range.
+_TROPICAL_PRINCIPAL_DIGESTS = [
+    ("4", "2>4>1>3", "3>1>4>2", (),
+     "646fadafc5e2d39e6450bcdbe4f041218553343eb71d2286177b22bd2add451c",
+     "dc0d3c56e42f7e18f2d1cdd4af8786022ad10072ee0371314a5be77aa64e5261"),
+    ("4", "1>2>3>4", "1>2>3>4", ("--base", "10"),
+     "a75ba80ca6220e7d06610ffafd5a1ce3f1083081763fce80c7d5ee64829133ee",
+     "50c30d16fe43d0a8d6f9a9c1c01360f72e13092a9cd44fc3d2327adf4c49b8ed"),
+    ("5", "3>5>1>4>2", "4>1>2>5>3", ("--base", "1e4"),
+     "abd52beb03c4a1a531c0d8450ffa6120ffcc957970362c2c4a8de146a832d64b",
+     "57d4cf9dd19107f6c2c04164e9f25537dbc2fa9372df9f1c11b364785ce61a51"),
+    ("5", "1>2>3>4>5", "5>4>3>2>1", ("--base", "1e77"),
+     "2f3623375278f9b3a4152f14f1e071d9b58d906df239763d39599e1589953170",
+     "c0ef41fd838f3abdc65a19508f638a3183cb48ab086737be254ebbafa78cb223"),
+    ("6", "6>2>4>1>5>3", "2>3>6>5>1>4", ("--base", "10"),
+     "c81592e8138a411cc0e15432383a245d4068b136fbecd416914ece2edbce317b",
+     "c7ca243e302a019ada09da998cb37788a9a0ce53d996fcaba558376d9f9b4d9d"),
+    ("4", "3>1>2>4", "2>4>3>1", ("--base", "1e77"),
+     "e812d6b7318011f5c73761c57fa266bc3fb441dd44ca5fbef16908e513b7ca49",
+     "5fdd402bab3450d5df7bea38d3b07b1a41d58e4a3c5c85f7f902c13205af6bc6"),
+    ("7", "7>3>1>6>2>5>4", "1>5>7>2>4>3>6", (),
+     "89be2b788f0f9435644b8e3e580fd1c6c2ffacc14aa81926b14ec9b9d8d3d23a",
+     "c6b47e312c37126a001b8c673bd2c99daf10c899e9bd3b968359efc989afb008"),
+    ("7", "4>7>2>5>1>6>3", "6>1>3>7>4>2>5", ("--base", "1e4"),
+     "bf24aa6c56ffe2ceec4ee0b96d6255657242580d0447e1df0e9eafd349ac3810",
+     "e9b4fa7da99e35ac71cf963d3b3708af562d20c7832441bb7f10aa73096be6ab"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,sigma1,sigma2,flags,stdout_digest,csv_digest", _TROPICAL_PRINCIPAL_DIGESTS,
+    ids=[f"n{n}-{s1}-{s2}{''.join(f)}" for n, s1, s2, f, *_ in _TROPICAL_PRINCIPAL_DIGESTS])
+def test_witness_tropical_principal_stdout_is_pinned(capsys, tmp_path, monkeypatch, n, sigma1,
+                                                     sigma2, flags, stdout_digest, csv_digest):
+    monkeypatch.chdir(tmp_path)   # stdout names the matrix file
+    code, out, _ = run(capsys, "witness", "--pair", "tropical-principal", "--n", n,
+                       "--sigma1", sigma1, "--sigma2", sigma2, "--out", "w.csv", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256((tmp_path / "w.csv").read_bytes()).hexdigest() == csv_digest
+
+
+def test_witness_base_is_a_usage_error_for_hodge_tropical(capsys, tmp_path):
+    code, out, err = run(capsys, "witness", "--pair", "hodge-tropical", "--n", "4",
+                         "--sigma1", "1>2>3>4", "--sigma2", "4>3>2>1",
+                         "--base", "10", "--out", str(tmp_path / "w.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: --base applies only to the multiplicative pairs "
+                   "(hodge-principal, tropical-principal)\n")
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_witness_matrix_file_is_loadable(capsys, tmp_path):
@@ -408,6 +465,16 @@ def test_simulate_with_signal_and_stperp_noise(capsys):
     report = json.loads(out)
     assert report["noise"] == {"kind": "stperp", "halfwidth": 2.0}
     assert report["degenerate"] + report["failures"] + report["effective"] == 80
+
+
+@pytest.mark.parametrize("noise,flag", [("gaussian", "--sd"), ("stperp", "--halfwidth")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_simulate_rejects_noise_parameter_not_finite_and_positive(capsys, noise, flag, value):
+    code, out, err = run(capsys, "simulate", "--n", "4", "--trials", "5",
+                         "--noise", noise, f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag[2:]} must be a finite number above 0; got {float(value):g}\n"
 
 
 def test_simulate_overflowing_trials_count_as_failures():

@@ -40,7 +40,7 @@ def random_ranking(rng: np.random.Generator, n: int) -> Ranking:
     return Ranking(tuple(int(v) + 1 for v in rng.permutation(n)))
 
 
-@pytest.mark.parametrize("pair", [Pair.HODGE_TROPICAL, Pair.TROPICAL_PRINCIPAL])
+@pytest.mark.parametrize("pair", list(Pair))
 def test_search_solves_the_accepted_matrix_once_per_method(monkeypatch, pair):
     # the verifier is the search's acceptance test, so nothing solves the
     # returned matrix again after it
@@ -202,43 +202,51 @@ def test_hodge_principal_random_requests(n):
 
 
 # The n = 5 requests of test_cli.py's pinned witness digests. With the default
-# base the filter passes by k = 1 and 2, whose probes run out of iterations.
-# With base 100 it passes by k = 1, 2, 1/2, 4 and 1/4; the probes at k = 2 and
+# base the filter passes by k = 1 and 2, whose solves run out of iterations.
+# With base 100 it passes by k = 1, 2, 1/2, 4 and 1/4; the solves at k = 2 and
 # 4 stop within three steps on vectors the Collatz-Wielandt check rejects.
 @pytest.mark.parametrize("sigma1,sigma2,base", [
     ((5, 3, 2, 1, 4), (2, 5, 1, 4, 3), math.e),
     ((1, 4, 5, 2, 3), (5, 1, 2, 3, 4), 100.0),
 ])
 def test_hodge_principal_skips_only_probes_that_fail(monkeypatch, sigma1, sigma2, base):
-    """Every Hadamard power the spectral filter passes by fails its probe anyway."""
-    probes = {}
+    """Every Hadamard power the spectral filter passes by fails verification anyway."""
+    solves, verifying = {}, []
 
-    def record_probe(y, **kwargs):
-        if kwargs.get("max_iter") != witness._PROBE_MAX_ITER:
-            return principal_scores(y, **kwargs)
+    def record_solve(y, **kwargs):
+        assert verifying, "the search solves a power outside the verifier"
         try:
             sol = principal_scores(y, **kwargs)
         except NoConvergence:
-            probes[y.entries.tobytes()] = None
+            solves[y.entries.tobytes()] = None
             raise
         v = sol.eigenvector.values
-        probes[y.entries.tobytes()] = np.ptp(np.log(y.entries @ v / v))
+        solves[y.entries.tobytes()] = np.ptp(np.log(y.entries @ v / v))
         return sol
 
-    monkeypatch.setattr(witness, "principal_scores", record_probe)
+    def verify(y, req):
+        verifying.append(y)
+        try:
+            return real_verify(y, req)
+        finally:
+            verifying.pop()
+
+    real_verify = witness._verify
+    monkeypatch.setattr(witness, "principal_scores", record_solve)
+    monkeypatch.setattr(witness, "_verify", verify)
     req = WitnessRequest(5, Pair.HODGE_PRINCIPAL, Ranking(sigma1), Ranking(sigma2))
     filtered = witness_hodge_principal(req, base=base)
-    probed = set(probes)
-    probes.clear()
+    solved = set(solves)
+    solves.clear()
     monkeypatch.setattr(witness, "_PROBE_MAX_RATIO", math.inf)
     unfiltered = witness_hodge_principal(req, base=base)
 
     assert unfiltered.parameters == filtered.parameters
     assert unfiltered.matrix.entries.tobytes() == filtered.matrix.entries.tobytes()
-    skipped = [spread for y, spread in probes.items() if y not in probed]
+    skipped = [spread for y, spread in solves.items() if y not in solved]
     assert skipped
     for spread in skipped:
-        assert spread is None or spread > witness._PROBE_CW_SPREAD
+        assert spread is None or spread > witness._VERIFY_CW_SPREAD
 
 
 # -- the perturbed matrix family -----------------------------------------------
