@@ -305,8 +305,8 @@ def _tally_stack(a: np.ndarray, tally: dict) -> None:
     a hodge vector ScoreVector rejects (failure), a hodge tie (degenerate),
     no critical edge or a rejected tropical vector (failure), a tropical tie
     (degenerate), overflow, underflow or a reciprocity defect on
-    exponentiation (failure), no Perron convergence (failure), a non-finite
-    or non-positive Perron vector (failure), a Perron tie (degenerate).
+    exponentiation (failure), a Perron solve that _perron_batch does not
+    certify (failure), a Perron tie (degenerate).
     """
     n = a.shape[1]
     hodge = a.sum(axis=2) / n
@@ -339,10 +339,9 @@ def _tally_stack(a: np.ndarray, tally: dict) -> None:
              & ~(_reciprocity_defect(x) > _RECIPROCITY_EXACT))
     keep(valid, "failures")
 
-    _, perron, _, _, moved = _perron_batch(x[valid])
-    good = (moved < 1e-12) & np.isfinite(perron).all(axis=1) & (perron > 0.0).all(axis=1)
-    keep(good, "failures")
-    order_p, _, _, tie_p = _rank_rows(np.log(perron[good]))
+    _, perron, _, _, certified = _perron_batch(x[valid])
+    keep(certified, "failures")
+    order_p, _, _, tie_p = _rank_rows(np.log(perron[certified]))
     keep(~tie_p, "degenerate")
 
     orders = {"hodge": order_h[live], "tropical": order_t[live], "principal": order_p[~tie_p]}

@@ -39,12 +39,8 @@ __all__ = [
     "upper_triangle",
     "matrix_from_upper_triangle",
     "pair_index",
-    "pair_order",
-    "perm_identity",
     "perm_inverse",
-    "perm_compose",
     "perm_between",
-    "permute_scores",
     "relabel_ranking",
     "load_matrix",
     "save_matrix",
@@ -113,9 +109,6 @@ class ComparisonMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def is_additive(self) -> bool:
-        return self.scale is Scale.ADDITIVE
 
 
 def _mirror_additive(upper_source: np.ndarray) -> np.ndarray:
@@ -266,10 +259,6 @@ class Ranking:
     def n(self) -> int:
         return len(self.order)
 
-    def position_of(self, item: int) -> int:
-        """0-based position of an item; 0 means ranked best."""
-        return self.order.index(item)
-
     @classmethod
     def from_string(cls, text: str) -> "Ranking":
         sep = ">" if ">" in text else ","
@@ -299,11 +288,6 @@ class UpperTriangleVector:
         if c.shape != (self.n * (self.n - 1) // 2,):
             raise InvalidMatrix(f"expected {self.n * (self.n - 1) // 2} coordinates for n={self.n}")
         object.__setattr__(self, "coords", _readonly(c))
-
-
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """The (i, j) pairs, 1-based with i < j, in row-major coordinate order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def pair_index(n: int, i: int, j: int) -> int:
@@ -339,10 +323,15 @@ def matrix_from_upper_triangle(u: UpperTriangleVector | np.ndarray, n: int | Non
     return ComparisonMatrix(a, Scale.ADDITIVE)
 
 
+def _check_base(base: float) -> None:
+    """Reject a conversion base that is not a finite number above one."""
+    if not (math.isfinite(base) and base > 1.0):
+        raise ValueError(f"base must be a finite number above 1; got {base:g}")
+
+
 def to_additive(x: ComparisonMatrix, base: float = math.e) -> ComparisonMatrix:
     """Elementwise log_base, mapping a multiplicative matrix to an additive one."""
-    if base <= 0 or base == 1:
-        raise InvalidMatrix("log base must be positive and different from one")
+    _check_base(base)
     if x.scale is Scale.ADDITIVE:
         return x
     logs = np.log(x.entries) / math.log(base)
@@ -351,8 +340,7 @@ def to_additive(x: ComparisonMatrix, base: float = math.e) -> ComparisonMatrix:
 
 def to_multiplicative(a: ComparisonMatrix, base: float = math.e) -> ComparisonMatrix:
     """Elementwise base**entry, mapping an additive matrix to a multiplicative one."""
-    if base <= 0 or base == 1:
-        raise InvalidMatrix("exponent base must be positive and different from one")
+    _check_base(base)
     if a.scale is Scale.MULTIPLICATIVE:
         return a
     with np.errstate(over="ignore"):
@@ -367,20 +355,11 @@ def to_multiplicative(a: ComparisonMatrix, base: float = math.e) -> ComparisonMa
 # A relabeling tau is stored as a tuple t with t[i-1] = tau(i), 1-based values.
 
 
-def perm_identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def perm_inverse(tau: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(tau)
     for i, t in enumerate(tau):
         inv[t - 1] = i + 1
     return tuple(inv)
-
-
-def perm_compose(tau2: Sequence[int], tau1: Sequence[int]) -> tuple[int, ...]:
-    """The relabeling 'apply tau1, then tau2'."""
-    return tuple(tau2[t - 1] for t in tau1)
 
 
 def perm_between(source: Ranking, target: Ranking) -> tuple[int, ...]:
@@ -402,14 +381,6 @@ def relabel(m: ComparisonMatrix, tau: Sequence[int]) -> ComparisonMatrix:
     out = np.empty_like(m.entries)
     out[np.ix_(idx, idx)] = m.entries
     return ComparisonMatrix(out, m.scale)
-
-
-def permute_scores(s: ScoreVector, tau: Sequence[int]) -> ScoreVector:
-    """Scores after relabeling: item tau(i) receives the old score of item i."""
-    idx = np.asarray(tau, dtype=int) - 1
-    out = np.empty_like(s.values)
-    out[idx] = s.values
-    return ScoreVector(out, s.scale, s.normalization)
 
 
 def relabel_ranking(r: Ranking, tau: Sequence[int]) -> Ranking:

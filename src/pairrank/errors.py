@@ -33,12 +33,18 @@ class TieDetected(PairrankError):
 
 
 class NoConvergence(PairrankError):
-    """An iterative solver exhausted its iteration budget."""
+    """A Perron solve ended without a certified eigenvector.
 
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3e})")
+    It ran out of iterations, left early because its spectral ratio rules out
+    convergence within the budget, or stopped on a vector whose
+    Collatz-Wielandt bounds disagree; spread is that vector's log spread.
+    """
+
+    def __init__(self, iterations: int, spread: float):
+        super().__init__(f"Perron solve not certified after {iterations} iterations "
+                         f"(Collatz-Wielandt log spread {spread:.3e})")
         self.iterations = iterations
-        self.residual = residual
+        self.spread = spread
 
 
 class ReductionViolated(PairrankError):

@@ -5,12 +5,16 @@
   strongly transitive subspace, read off as a score vector.
 * principal_scores: the Perron eigenpair of a positive reciprocal matrix by
   power iteration. One batched power iteration (_perron_batch) runs a stack
-  of matrices, each stopping where it would stop alone; principal_scores
-  passes a stack of one, and the Monte Carlo study passes its trials. It
-  solves every matrix built as floats, witness candidates included. Trajectory
-  powers, which can leave float range, go to the one log-domain loop
-  (_log_perron_batch): a diagonally shifted power iteration, batch-first in
-  the same way, that solves a stack of grid points.
+  of matrices, each stopping where it would stop alone, and it alone decides
+  whether a stop is trusted: it certifies each vector by its Collatz-Wielandt
+  bounds and drops early the matrices whose spectral ratio rules out
+  convergence. principal_scores passes a stack of one and raises
+  NoConvergence on an uncertified solve; the Monte Carlo study passes its
+  trials and counts those as failures. It solves every matrix built as
+  floats, witness candidates included. Trajectory powers, which can leave
+  float range, go to the one log-domain loop (_log_perron_batch): a
+  diagonally shifted power iteration, batch-first in the same way, that
+  solves a stack of grid points.
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
@@ -72,6 +76,22 @@ class PerronSolution:
     residual: float
 
 
+# A Perron solve is certified when its Collatz-Wielandt bounds min_i, max_i
+# (Xv)_i/v_i on the eigenvalue agree to this log spread (Meyer, ch. 8).
+_CW_SPREAD = 1e-3
+# At this step the members still moving have their eigenvalues taken once: power
+# iteration needs about ln(tol)/ln|l2/l1| steps (Golub & Van Loan, ch. 7), and a
+# member whose ratio predicts more than twice max_iter stops there, uncertified.
+_TRIAGE_STEP = 64
+
+
+def _cw_spread(xv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Log spread of the Collatz-Wielandt bounds of each row; NaN or inf if undefined."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logs = np.log(xv / v)
+        return np.maximum.reduce(logs, 1) - np.minimum.reduce(logs, 1)
+
+
 def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
     """Power iteration on a stack of positive matrices, each run as if alone.
 
@@ -79,15 +99,21 @@ def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
     at each step, and stops at the first iteration where its iterate moves by
     less than tol in max norm; it then leaves the stack and the rest run on.
     The eigenvalue is the Rayleigh quotient of the final iterate, and the
-    residual is max|X v - lambda v|. Returns (eigenvalues, vectors,
-    iterations, residuals, steps), where steps holds each matrix's last move:
-    a matrix with steps >= tol (or NaN) did not converge within max_iter,
-    and its eigenvalue and residual are NaN.
+    residual is max|X v - lambda v|. A stop is certified when the
+    Collatz-Wielandt log spread of its vector is at most _CW_SPREAD: a step
+    below an absolute tol can leave tiny components wrong by orders of
+    magnitude. At _TRIAGE_STEP the matrices still moving whose |l2/l1|
+    predicts more than twice max_iter steps leave uncertified. Returns
+    (eigenvalues, vectors, iterations, residuals, certified), where vectors
+    holds each matrix's last iterate; a matrix that did not stop within
+    max_iter, or left at triage, has NaN eigenvalue and residual.
     """
     b, n = x.shape[0], x.shape[1]
-    lam, residual, steps = np.full((3, b), np.nan)
+    lam, residual = np.full((2, b), np.nan)
+    certified = np.zeros(b, dtype=bool)
     vectors, iterations = np.empty((b, n)), np.full(b, max_iter)
-    live, xs, step = np.arange(b), x, steps[:, None]
+    slow = math.exp(math.log(tol) / (2 * max_iter))
+    live, xs = np.arange(b), x
     # column vectors, so that each product is the same BLAS call as a lone x @ v
     v = np.full((b, n, 1), 1.0 / n)
     for it in range(1, (max_iter if b else 0) + 1):   # an empty stack has nothing to run
@@ -96,39 +122,50 @@ def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
         step = np.maximum.reduce(abs(w - v), 1)
         v = w
         finished = np.count_nonzero(step < tol)
+        if it == _TRIAGE_STEP and finished < live.size:
+            drop = ~(step[:, 0] < tol)   # the members still moving, then the slow ones
+            mags = np.sort(abs(np.linalg.eigvals(xs[drop])), axis=1)
+            drop[drop] = mags[:, -2] > slow * mags[:, -1]
+            vectors[live[drop]], iterations[live[drop]] = v[drop, :, 0], it
+            live, xs, v, step = live[~drop], xs[~drop], v[~drop], step[~drop]
+            if not live.size:
+                break
         if not finished:
             continue
         last = finished == live.size
         if last:
-            idx, xd, vd, sd = live, xs, v, step
+            idx, xd, vd = live, xs, v
         else:
             done = step[:, 0] < tol
-            idx, xd, vd, sd = live[done], xs[done], v[done], step[done]
+            idx, xd, vd = live[done], xs[done], v[done]
             live, xs, v = live[~done], xs[~done], v[~done]
         xv = xd @ vd
         vt = vd.transpose(0, 2, 1)
         rayleigh = vt @ xv / (vt @ vd)
         lam[idx], residual[idx] = rayleigh[:, 0, 0], np.maximum.reduce(abs(xv - rayleigh * vd), (1, 2))
-        vectors[idx], steps[idx], iterations[idx] = vd[:, :, 0], sd[:, 0], it
+        vectors[idx], iterations[idx] = vd[:, :, 0], it
+        certified[idx] = _cw_spread(xv[:, :, 0], vd[:, :, 0]) <= _CW_SPREAD
         if last:
             break
     else:
-        vectors[live], steps[live] = v[:, :, 0], step[:, 0]
-    return lam, vectors, iterations, residual, steps
+        vectors[live] = v[:, :, 0]
+    return lam, vectors, iterations, residual, certified
 
 
 def principal_scores(x: ComparisonMatrix, tol: float = 1e-12, max_iter: int = 100000) -> PerronSolution:
-    """Perron eigenpair of a multiplicative comparison matrix.
+    """Certified Perron eigenpair of a multiplicative comparison matrix.
 
     Starts from the uniform vector and stops when the unit-sum iterate moves
     by less than tol in max norm. The eigenvalue is the Rayleigh quotient of
-    the final iterate. A batch of one for _perron_batch.
+    the final iterate. A batch of one for _perron_batch; raises NoConvergence,
+    with the Collatz-Wielandt log spread of the last iterate, when the solve
+    is not certified.
     """
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("principal_scores expects a multiplicative matrix")
-    lam, v, iters, residual, step = _perron_batch(x.entries[None], tol, max_iter)
-    if not step[0] < tol:
-        raise NoConvergence(max_iter, float(step[0]))
+    lam, v, iters, residual, certified = _perron_batch(x.entries[None], tol, max_iter)
+    if not certified[0]:
+        raise NoConvergence(int(iters[0]), float(_cw_spread(v @ x.entries.T, v)[0]))
     vec = ScoreVector(v[0], Scale.MULTIPLICATIVE, Normalization.UNIT_SUM)
     return PerronSolution(float(lam[0]), vec, int(iters[0]), float(residual[0]))
 

@@ -21,6 +21,7 @@ from pairrank.core import (
     Ranking,
     Scale,
     ScoreVector,
+    _rank_rows,
     rank_of,
     strongly_transitive_from_scores,
     to_multiplicative,
@@ -322,9 +323,10 @@ _STPERP_SCORES = ScoreVector(np.array([0.3, -1.1, 0.9, 0.0, -0.4, 1.6]), Scale.A
     (SimulationConfig(n=6, trials=80, noise=UniformSTperp(2.0), true_scores=_STPERP_SCORES,
                       seed=3), 0, "effective"),
     (SimulationConfig(n=4, trials=120, noise=GaussianUpperTriangle(1e-12), seed=8), 0, "degenerate"),
-    # trials 47..56 of this stream hold exponent overflows, a Perron vector that
-    # underflows to zero, and one Perron run that never converges: 100,000
-    # iterations, which costs about a second on each path
+    # trials 47..56 of this stream hold exponent overflows, Perron solves that
+    # stop after two steps on vectors the certificate rejects (one with a
+    # component that underflows to zero), and one whose spectral ratio rules out
+    # convergence, so it leaves at the solver's triage step
     (SimulationConfig(n=4, trials=57, noise=GaussianUpperTriangle(400.0), seed=1), 47, "failures"),
     (SimulationConfig(n=5, trials=40, noise=GaussianUpperTriangle(1e6), seed=2), 0, "failures"),
 ], ids=["gauss-n3", "gauss-n4", "gauss-n8", "stperp-n6", "sd-1e-12", "sd-400", "sd-1e6"])
@@ -335,6 +337,52 @@ def test_stacked_simulation_matches_scalar_trials(cfg, start, outcome):
     effective = cfg.trials - start - stacked["degenerate"] - stacked["failures"]
     assert {"effective": effective, "degenerate": stacked["degenerate"],
             "failures": stacked["failures"]}[outcome] > 0
+
+
+def _mpmath_perron_order(x: np.ndarray) -> list[int]:
+    """0-based items best first by the Perron vector of x, from a 50-digit mpmath eig.
+
+    The oracle checks itself: the Collatz-Wielandt log spread of its vector,
+    taken at the same precision, must be negligible, so that even components
+    near 1e-25 of the largest are resolved.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n = x.shape[0]
+    with mpmath.workdps(50):
+        exact = mpmath.matrix(x.tolist())   # every float converts exactly
+        values, vectors = mpmath.eig(exact)
+        top = max(range(n), key=lambda i: mpmath.re(values[i]))
+        v = mpmath.matrix([abs(vectors[i, top]) for i in range(n)])
+        xv = exact * v
+        logs = [mpmath.log(xv[i] / v[i]) for i in range(n)]
+        assert max(logs) - min(logs) < 1e-9
+    return sorted(range(n), key=lambda i: -v[i])
+
+
+def test_counted_principal_rankings_match_an_mpmath_oracle(monkeypatch):
+    """Every principal ranking the stacked study counts is the exact Perron ranking.
+
+    At sd 30 some linear solves stop on vectors whose tiny components are
+    still wrong; they must be failures, not effective trials.
+    """
+    solved = []
+
+    def record(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        solved.append((x, out[1], out[4]))
+        return out
+
+    real = analysis._perron_batch
+    monkeypatch.setattr(analysis, "_perron_batch", record)
+    cfg = SimulationConfig(n=5, trials=100, noise=GaussianUpperTriangle(30.0), seed=1)
+    tally = _simulate_range(cfg, 0, cfg.trials)
+    counted = 0
+    for x, vectors, certified in solved:
+        order, _, _, tied = _rank_rows(np.log(vectors[certified]))
+        for matrix, items in zip(x[certified][~tied], order[~tied]):
+            assert items.tolist() == _mpmath_perron_order(matrix)
+            counted += 1
+    assert counted == cfg.trials - tally["failures"] - tally["degenerate"] >= 10
 
 
 def test_disagreement_rate_falls_as_signal_grows():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pairrank.analysis import GaussianUpperTriangle
 from pairrank.cli import main
 from pairrank.core import ComparisonMatrix, Ranking, Scale, ScoreVector, load_matrix, rank_of, save_matrix
 
@@ -79,6 +80,22 @@ def test_rank_rejects_tolerance_that_passes_any_defect(capsys, tmp_path, tol):
     code, out, err = run(capsys, "rank", str(p), "--reciprocity-tol", tol)
     assert (code, out) == (1, "")
     assert err == f"error: tolerance must be a finite number >= 0; got {float(tol):g}\n"
+
+
+def test_rank_refuses_a_principal_solve_it_cannot_certify(capsys, tmp_path):
+    # the linear solve of this sd-30 draw stops after four steps on a vector whose
+    # Collatz-Wielandt bounds are e^58 apart, and its ranking 2>5>3>4>1 is wrong
+    a = GaussianUpperTriangle(30.0).draw(np.random.default_rng((1, 8)), 5)
+    path = tmp_path / "sd30.csv"
+    path.write_text("# scale=additive\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                                  for row in a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "rank", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Perron solve not certified after 4 iterations")
+    assert err.count("\n") == 1
 
 
 def test_rank_missing_file_exits_one(capsys, tmp_path):
@@ -221,6 +238,18 @@ def test_witness_rejects_base_not_above_one(capsys, tmp_path, pair, base, sigma2
     assert not (tmp_path / "w.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["rank", "classify4", "trajectory"])
+@pytest.mark.parametrize("base", ["0.5", "1", "-2", "nan", "inf"])
+def test_matrix_commands_reject_base_not_above_one(capsys, disagree_csv, command, base):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, str(disagree_csv), "--reciprocity-tol", "0.05",
+                             "--base", base)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: base must be a finite number above 1; got {float(base):g}\n"
+
+
 def test_witness_base_overflowing_entries_is_a_typed_error(capsys, tmp_path):
     # the scores base^s overflow at 1e300; at 1e200 their ratios do, and the
     # sigma1 == sigma2 shortcut builds the same ratio matrix as tropical-principal
@@ -256,15 +285,16 @@ def test_witness_tropical_principal_halves_k_past_overflowing_candidates(capsys,
 
 # sha256 of stdout and of the written matrix for `witness --pair hodge-principal`,
 # recorded when the Hadamard powers were still solved in the log domain.  The
-# n = 4 requests settle at k = 2, 1 and 2.  At n = 5 and 6 with the default base
-# the verifier's solves at k = 1 and 2 run out of iterations before k = 1/2
-# certifies.  With --base 100 the solve at k = 4 stops after two steps on
-# components far below the solver's tolerance, and the search must pass it by
-# to settle at k = 1/8.  The last two were recorded before the search skipped
-# any power on its eigenvalue ratio.  The n = 5 --base 1e4 request settles at
-# k = 1/16, and every power before it (k = 1, 2, 1/2, 1/4, 1/8) fails
-# verification; the n = 7 --base 10 one settles at k = 1/2 after two solves that
-# stop on vectors the Collatz-Wielandt check rejects.
+# n = 4 requests settle at k = 2, 1 and 2.  At n = 5 with the default base the
+# solver's triage drops k = 1 and 2 at step 64 before k = 1/2 certifies; at
+# n = 6 the solve at k = 1 runs out of the verifier's 20,000 iterations and
+# triage drops k = 2.  With --base 100 the solves at k = 2 and 4 stop within
+# three steps on vectors the Collatz-Wielandt certificate rejects, triage drops
+# k = 1, 1/2 and 1/4, and the search settles at k = 1/8.  The last two were
+# recorded before the search skipped any power on its eigenvalue ratio.  The
+# n = 5 --base 1e4 request settles at k = 1/16: the solves at k = 1 and 2 stop
+# uncertified and triage drops k = 1/2, 1/4 and 1/8.  The n = 7 --base 10 one
+# settles at k = 1/2 after two solves that stop on uncertified vectors.
 _WITNESS_DIGESTS = [
     ("4", "1>4>3>2", "4>3>2>1", (),
      "103d9001f747149e1097aff32b4668892c2f910abd78cbe6a6f2ba7028178904",

@@ -15,7 +15,8 @@ from pairrank.core import (
     to_multiplicative,
 )
 from pairrank.errors import InvalidMatrix, NoConvergence, TieDetected
-from pairrank.analysis import hadamard_trajectory
+from pairrank import methods
+from pairrank.analysis import GaussianUpperTriangle, hadamard_trajectory
 from pairrank.methods import (
     _log_perron_batch,
     _perron_batch,
@@ -91,19 +92,18 @@ def test_perron_batch_members_match_batches_of_one(rand_add):
     sds = (0.3, 1.0, 0.3, 3.0, 0.5, 1.0, 0.3)
     stack = np.stack([to_multiplicative(rand_add(rng, 5, sd)).entries for sd in sds])
     budget = 60
-    lam, vec, iters, residual, steps = _perron_batch(stack, max_iter=budget)
-    converged = steps < 1e-12
-    assert converged.tolist() == [sd != 3.0 for sd in sds]
-    assert len(set(iters[converged].tolist())) > 2
+    lam, vec, iters, residual, certified = _perron_batch(stack, max_iter=budget)
+    assert certified.tolist() == [sd != 3.0 for sd in sds]
+    assert len(set(iters[certified].tolist())) > 2
     for k in range(len(sds)):
         one = _perron_batch(stack[k:k + 1], max_iter=budget)
         assert one[0].tobytes() == lam[k:k + 1].tobytes()
         assert one[1].tobytes() == vec[k:k + 1].tobytes()
         assert one[2][0] == iters[k]
         assert one[3].tobytes() == residual[k:k + 1].tobytes()
-        assert one[4].tobytes() == steps[k:k + 1].tobytes()
+        assert one[4].tobytes() == certified[k:k + 1].tobytes()
         x = ComparisonMatrix(stack[k], Scale.MULTIPLICATIVE)
-        if converged[k]:
+        if certified[k]:
             sol = principal_scores(x, max_iter=budget)
             assert (sol.eigenvalue, sol.iterations, sol.residual) == (lam[k], iters[k], residual[k])
             assert sol.eigenvector.values.tobytes() == vec[k].tobytes()
@@ -111,7 +111,51 @@ def test_perron_batch_members_match_batches_of_one(rand_add):
             assert np.isnan(lam[k]) and np.isnan(residual[k])
             with pytest.raises(NoConvergence) as exc:
                 principal_scores(x, max_iter=budget)
-            assert str(exc.value) == str(NoConvergence(budget, float(steps[k])))
+            spread = np.ptp(np.log(stack[k] @ vec[k] / vec[k]))
+            assert str(exc.value) == str(NoConvergence(budget, spread))
+
+
+def _roadmap_matrix() -> ComparisonMatrix:
+    """A Gaussian sd-30 draw whose linear solve stops after four steps on a wrong vector.
+
+    Its step falls below 1e-12 while components near 1e-19 are still wrong by
+    orders of magnitude: the Rayleigh quotient reads 52.8, where 50-digit
+    mpmath gives log lambda = 31.54 and the ranking 2>4>5>3>1, not 2>5>3>4>1.
+    """
+    a = GaussianUpperTriangle(30.0).draw(np.random.default_rng((1, 8)), 5)
+    return to_multiplicative(ComparisonMatrix(a, Scale.ADDITIVE))
+
+
+def test_principal_scores_refuses_a_stop_it_cannot_certify():
+    with pytest.raises(NoConvergence, match="not certified after 4 iterations") as exc:
+        principal_scores(_roadmap_matrix())
+    assert exc.value.spread > 1.0
+
+
+def _nearly_cyclic() -> np.ndarray:
+    """A random 5x5 matrix plus 12 on the cycle 1 -> 2 -> ... -> 5 -> 1, exponentiated."""
+    g = np.triu(np.random.default_rng(3).normal(0.0, 1.0, (5, 5)), 1)
+    a = g - g.T
+    for i in range(5):
+        a[i, (i + 1) % 5] += 12.0
+        a[(i + 1) % 5, i] -= 12.0
+    return to_multiplicative(ComparisonMatrix(a, Scale.ADDITIVE)).entries
+
+
+def test_perron_batch_certifies_each_member_as_a_batch_of_one(rand_add):
+    # mild members around one that stops uncertified after four steps, and one
+    # whose |l2/l1| = 0.99991 needs about 300,000 steps, so it leaves at triage
+    rng = np.random.default_rng(12)
+    mild = [to_multiplicative(rand_add(rng, 5, 0.5)).entries for _ in range(3)]
+    stack = np.stack([mild[0], _roadmap_matrix().entries, mild[1], _nearly_cyclic(), mild[2]])
+    lam, vec, iters, residual, certified = _perron_batch(stack)
+    assert certified.tolist() == [True, False, True, False, True]
+    assert iters[1] == 4 and iters[3] == methods._TRIAGE_STEP
+    assert np.isfinite(lam[1]) and np.isnan(lam[3])
+    for k in range(len(stack)):
+        one = _perron_batch(stack[k:k + 1])
+        for batched, alone in zip((lam, vec, iters, residual, certified), one):
+            assert alone.tobytes() == batched[k:k + 1].tobytes()
 
 
 def test_log_perron_batch_members_match_batches_of_one(rand_add):

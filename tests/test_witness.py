@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairrank import witness
+from pairrank import methods, witness
 from pairrank.core import (
     Ranking,
     Scale,
@@ -202,23 +202,26 @@ def test_hodge_principal_random_requests(n):
 
 
 # The n = 5 requests of test_cli.py's pinned witness digests. With the default
-# base the filter passes by k = 1 and 2, whose solves run out of iterations.
-# With base 100 it passes by k = 1, 2, 1/2, 4 and 1/4; the solves at k = 2 and
-# 4 stop within three steps on vectors the Collatz-Wielandt check rejects.
+# base the solver's triage drops k = 1 and 2, whose solves otherwise run out of
+# iterations. With base 100 it drops k = 1, 1/2 and 1/4; the solves at k = 2
+# and 4 stop within three steps, before triage, on vectors the Collatz-Wielandt
+# check rejects.
 @pytest.mark.parametrize("sigma1,sigma2,base", [
     ((5, 3, 2, 1, 4), (2, 5, 1, 4, 3), math.e),
     ((1, 4, 5, 2, 3), (5, 1, 2, 3, 4), 100.0),
 ])
 def test_hodge_principal_skips_only_probes_that_fail(monkeypatch, sigma1, sigma2, base):
-    """Every Hadamard power the spectral filter passes by fails verification anyway."""
-    solves, verifying = {}, []
+    """Every Hadamard power the solver's triage drops fails certification anyway."""
+    solves, dropped, verifying = {}, set(), []
 
     def record_solve(y, **kwargs):
         assert verifying, "the search solves a power outside the verifier"
         try:
             sol = principal_scores(y, **kwargs)
-        except NoConvergence:
+        except NoConvergence as exc:
             solves[y.entries.tobytes()] = None
+            if exc.iterations == methods._TRIAGE_STEP:
+                dropped.add(y.entries.tobytes())
             raise
         v = sol.eigenvector.values
         solves[y.entries.tobytes()] = np.ptp(np.log(y.entries @ v / v))
@@ -235,18 +238,17 @@ def test_hodge_principal_skips_only_probes_that_fail(monkeypatch, sigma1, sigma2
     monkeypatch.setattr(witness, "principal_scores", record_solve)
     monkeypatch.setattr(witness, "_verify", verify)
     req = WitnessRequest(5, Pair.HODGE_PRINCIPAL, Ranking(sigma1), Ranking(sigma2))
-    filtered = witness_hodge_principal(req, base=base)
-    solved = set(solves)
+    triaged = witness_hodge_principal(req, base=base)
     solves.clear()
-    monkeypatch.setattr(witness, "_PROBE_MAX_RATIO", math.inf)
-    unfiltered = witness_hodge_principal(req, base=base)
+    monkeypatch.setattr(methods, "_TRIAGE_STEP", 0)   # a step the solver never reaches
+    untriaged = witness_hodge_principal(req, base=base)
 
-    assert unfiltered.parameters == filtered.parameters
-    assert unfiltered.matrix.entries.tobytes() == filtered.matrix.entries.tobytes()
-    skipped = [spread for y, spread in solves.items() if y not in solved]
+    assert untriaged.parameters == triaged.parameters
+    assert untriaged.matrix.entries.tobytes() == triaged.matrix.entries.tobytes()
+    skipped = [spread for y, spread in solves.items() if y in dropped]
     assert skipped
     for spread in skipped:
-        assert spread is None or spread > witness._VERIFY_CW_SPREAD
+        assert spread is None or spread > methods._CW_SPREAD
 
 
 # -- the perturbed matrix family -----------------------------------------------
