@@ -10,7 +10,6 @@ seeded Monte Carlo disagreement studies.
 
 from .core import (
     ComparisonMatrix,
-    Normalization,
     Ranking,
     Scale,
     ScoreVector,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -67,8 +68,7 @@ def _json_scalar(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     v = float(obj)

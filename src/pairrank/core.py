@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,7 +23,6 @@ from .errors import InvalidMatrix, MatrixParseError, TieDetected
 
 __all__ = [
     "Scale",
-    "Normalization",
     "ComparisonMatrix",
     "ScoreVector",
     "Ranking",
@@ -57,15 +56,6 @@ class Scale(enum.Enum):
 
     ADDITIVE = "additive"
     MULTIPLICATIVE = "multiplicative"
-
-
-class Normalization(enum.Enum):
-    """Normalization applied to a score vector."""
-
-    NONE = "none"
-    SUM_ZERO = "sum-zero"          # additive: components sum to zero
-    FIRST_UNIT = "first-unit"      # first component 0 (additive) or 1 (multiplicative)
-    UNIT_SUM = "unit-sum"          # multiplicative: components sum to one
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -204,7 +194,6 @@ class ScoreVector:
 
     values: np.ndarray
     scale: Scale
-    normalization: Normalization = Normalization.NONE
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -223,15 +212,15 @@ class ScoreVector:
     def sum_zero(self) -> "ScoreVector":
         """Additive: shift to zero mean. Multiplicative: rescale to geometric mean one."""
         if self.scale is Scale.ADDITIVE:
-            return ScoreVector(self.values - self.values.mean(), self.scale, Normalization.SUM_ZERO)
+            return ScoreVector(self.values - self.values.mean(), self.scale)
         logs = np.log(self.values)
-        return ScoreVector(np.exp(logs - logs.mean()), self.scale, Normalization.SUM_ZERO)
+        return ScoreVector(np.exp(logs - logs.mean()), self.scale)
 
     def first_unit(self) -> "ScoreVector":
         """Pin the first component to 0 (additive) or 1 (multiplicative)."""
         if self.scale is Scale.ADDITIVE:
-            return ScoreVector(self.values - self.values[0], self.scale, Normalization.FIRST_UNIT)
-        return ScoreVector(self.values / self.values[0], self.scale, Normalization.FIRST_UNIT)
+            return ScoreVector(self.values - self.values[0], self.scale)
+        return ScoreVector(self.values / self.values[0], self.scale)
 
     def as_additive(self, base: float = math.e) -> "ScoreVector":
         if self.scale is Scale.ADDITIVE:
@@ -399,24 +388,28 @@ def strongly_transitive_from_scores(s: ScoreVector) -> ComparisonMatrix:
     return ComparisonMatrix(_mirror_multiplicative(np.divide.outer(v, v)), Scale.MULTIPLICATIVE)
 
 
-def is_strongly_transitive(m: ComparisonMatrix, tol: float = 1e-9) -> bool:
-    """Whether A[i, k] == A[i, j] + A[j, k] for all triples, within tol.
+def is_strongly_transitive(m: ComparisonMatrix) -> bool:
+    """Whether A[i, k] == A[i, j] + A[j, k] for all triples, within 1e-9.
 
     Multiplicative input is checked on the log scale, where the condition
     becomes the usual ratio consistency X[i, k] == X[i, j] * X[j, k].
     """
     a = to_additive(m).entries
     defect = a[:, None, :] - a[:, :, None] - a[None, :, :]
-    return bool(np.max(np.abs(defect)) <= tol)
+    return bool(np.max(np.abs(defect)) <= 1e-9)
 
 
-def _rank_rows(v: np.ndarray, tie_tol: float = 1e-9):
+# Two adjacent scores closer than this fraction of the score spread are a tie.
+_TIE_TOL = 1e-9
+
+
+def _rank_rows(v: np.ndarray):
     """Best-first order of each row of a score stack, with its closest pair.
 
     Returns (order, worst, gap, tied): order[r] lists 0-based items best
     first, order[r, worst[r]] and order[r, worst[r] + 1] are the adjacent
     pair with the smallest gap, and tied[r] says whether that gap is at most
-    tie_tol times the row's spread. A constant row is tied at its first two
+    _TIE_TOL times the row's spread. A constant row is tied at its first two
     items with gap 0.
     """
     # stable sort so equal-score behavior is deterministic before the tie check
@@ -426,20 +419,20 @@ def _rank_rows(v: np.ndarray, tie_tol: float = 1e-9):
     gaps = ranked[:, :-1] - ranked[:, 1:]
     worst = gaps.argmin(axis=1)
     gap = np.where(spread == 0.0, 0.0, gaps[np.arange(v.shape[0]), worst])
-    return order, worst, gap, gap <= tie_tol * spread
+    return order, worst, gap, gap <= _TIE_TOL * spread
 
 
-def rank_of(scores: ScoreVector, tie_tol: float = 1e-9) -> Ranking:
+def rank_of(scores: ScoreVector) -> Ranking:
     """Order items best-first by score, refusing to break near-ties.
 
     Multiplicative scores are compared on the log scale. Two scores closer
-    than tie_tol times the score spread raise TieDetected. A batch of one
+    than _TIE_TOL times the score spread raise TieDetected. A batch of one
     for the row-wise tie test the Monte Carlo study runs on its trials.
     """
     v = scores.values if scores.scale is Scale.ADDITIVE else np.log(scores.values)
     if v.shape[0] == 1:
         raise TieDetected(1, 1, 0.0)
-    order, worst, gap, tied = _rank_rows(v[None], tie_tol)
+    order, worst, gap, tied = _rank_rows(v[None])
     order, k = order[0], int(worst[0])
     if tied[0]:
         raise TieDetected(int(order[k]) + 1, int(order[k + 1]) + 1, float(gap[0]))
@@ -505,10 +498,10 @@ def load_matrix(path: str | Path, *, scale_override: Scale | None = None,
     return multiplicative_matrix(arr, reciprocity_tol=reciprocity_tol)
 
 
-def save_matrix(path: str | Path, m: ComparisonMatrix, digits: int = 12) -> None:
-    """Write a comparison matrix as CSV with a scale header line."""
+def save_matrix(path: str | Path, m: ComparisonMatrix) -> None:
+    """Write a comparison matrix as CSV with a scale header line, 12 significant digits."""
     path = Path(path)
     lines = [f"# scale={m.scale.value}"]
     for row in m.entries:
-        lines.append(",".join(f"{x:.{digits}g}" for x in row))
+        lines.append(",".join(f"{x:.12g}" for x in row))
     path.write_text("\n".join(lines) + "\n")

@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     ComparisonMatrix,
-    Normalization,
     Scale,
     ScoreVector,
     UpperTriangleVector,
@@ -105,14 +104,11 @@ def t_basis(n: int) -> list[UpperTriangleVector]:
     return out
 
 
-def threecycle_basis(n: int, v: int = 1) -> list[CycleVector]:
-    """A cycle-space basis: one 3-cycle (v, a, b) per pair a < b avoiding v."""
+def threecycle_basis(n: int) -> list[CycleVector]:
+    """A cycle-space basis: one 3-cycle (1, a, b) per pair 1 < a < b."""
     if n < 3:
         raise InvalidMatrix("3-cycles need at least three items")
-    if not 1 <= v <= n:
-        raise InvalidMatrix(f"item {v} out of range for n={n}")
-    rest = [i for i in range(1, n + 1) if i != v]
-    return [cycle_vector((v, a, b), n) for a, b in itertools.combinations(rest, 2)]
+    return [cycle_vector((1, a, b), n) for a, b in itertools.combinations(range(2, n + 1), 2)]
 
 
 def f_basis4() -> tuple[CycleVector, CycleVector, CycleVector]:
@@ -154,12 +150,12 @@ class ReductionReport:
     unique: bool
 
 
-def m_minus_h_reduction(m: ComparisonMatrix, tol: float = 1e-9) -> ReductionReport:
+def m_minus_h_reduction(m: ComparisonMatrix) -> ReductionReport:
     """Verify that dropping the transitive part shifts the tropical pair as expected.
 
     The cycle part R = A - P keeps the tropical eigenvalue of A, and its
     tropical eigenvector is m(A) - h(A) up to an additive constant.  Returns
-    the observed residuals; raises ReductionViolated when either exceeds tol,
+    the observed residuals; raises ReductionViolated when either exceeds 1e-9,
     which signals a solver bug rather than a property of the input.
     """
     full = tropical_solve(m)
@@ -172,7 +168,7 @@ def m_minus_h_reduction(m: ComparisonMatrix, tol: float = 1e-9) -> ReductionRepo
     got = reduced.eigenvector.values
     vec_res = float(np.max(np.abs((got - got.mean()) - (want - want.mean()))))
 
-    if lam_res > tol or vec_res > tol:
+    if lam_res > 1e-9 or vec_res > 1e-9:
         raise ReductionViolated(max(lam_res, vec_res))
     return ReductionReport(full.eigenvalue, lam_res, vec_res, full.unique)
 
@@ -396,15 +392,14 @@ def tropical_closed_form4(m: ComparisonMatrix, margin: float = 1e-7) -> Tropical
     _, g, *_, transitive = selection
     if transitive[0]:
         edges = frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j)
-        return TropicalSolution(0.0, hodge_scores(m), frozenset(range(1, 5)), edges, 1, True)
+        return TropicalSolution(0.0, hodge_scores(m), edges, 1)
 
     tau_idx, region_idx = _match_one(selection, margin)
     lam, vec = _region_formulas(m.entries[None], g, np.array([tau_idx]), np.array([region_idx]))
     inv = perm_inverse(_PERMS4[tau_idx])
     cycle = tuple(inv[v - 1] for v in _CANONICAL_REGIONS[region_idx].critical_cycle)
     edges = frozenset(zip(cycle, cycle[1:] + cycle[:1]))
-    vec = ScoreVector(vec[0], Scale.ADDITIVE, Normalization.SUM_ZERO)
-    return TropicalSolution(float(lam[0]), vec, frozenset(cycle), edges, 1, True)
+    return TropicalSolution(float(lam[0]), ScoreVector(vec[0], Scale.ADDITIVE), edges, 1)
 
 
 # -- the projected cube --------------------------------------------------------

@@ -32,7 +32,6 @@ import numpy as np
 
 from .core import (
     ComparisonMatrix,
-    Normalization,
     Scale,
     ScoreVector,
     to_additive,
@@ -61,9 +60,9 @@ def hodge_scores(m: ComparisonMatrix) -> ScoreVector:
     """
     if m.scale is Scale.ADDITIVE:
         h = m.entries.sum(axis=1) / m.n
-        return ScoreVector(h - h.mean(), Scale.ADDITIVE, Normalization.SUM_ZERO)
+        return ScoreVector(h - h.mean(), Scale.ADDITIVE)
     logs = np.log(m.entries).sum(axis=1) / m.n
-    return ScoreVector(np.exp(logs - logs[0]), Scale.MULTIPLICATIVE, Normalization.FIRST_UNIT)
+    return ScoreVector(np.exp(logs - logs[0]), Scale.MULTIPLICATIVE)
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,13 @@ class PerronSolution:
     residual: float
 
 
+# Both power iterations stop once a step moves the iterate by less than this.
+_STEP_TOL = 1e-12
 # A Perron solve is certified when its Collatz-Wielandt bounds min_i, max_i
 # (Xv)_i/v_i on the eigenvalue agree to this log spread (Meyer, ch. 8).
 _CW_SPREAD = 1e-3
 # At this step the members still moving have their eigenvalues taken once: power
-# iteration needs about ln(tol)/ln|l2/l1| steps (Golub & Van Loan, ch. 7), and a
+# iteration needs about ln(_STEP_TOL)/ln|l2/l1| steps (Golub & Van Loan, ch. 7), and a
 # member whose ratio predicts more than twice max_iter stops there, uncertified.
 _TRIAGE_STEP = 64
 
@@ -92,16 +93,16 @@ def _cw_spread(xv: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(logs, 1) - np.minimum.reduce(logs, 1)
 
 
-def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
+def _perron_batch(x: np.ndarray, max_iter: int = 100000):
     """Power iteration on a stack of positive matrices, each run as if alone.
 
     Every matrix starts from the uniform vector, is renormalized to unit sum
     at each step, and stops at the first iteration where its iterate moves by
-    less than tol in max norm; it then leaves the stack and the rest run on.
+    less than _STEP_TOL in max norm; it then leaves the stack and the rest run on.
     The eigenvalue is the Rayleigh quotient of the final iterate, and the
     residual is max|X v - lambda v|. A stop is certified when the
     Collatz-Wielandt log spread of its vector is at most _CW_SPREAD: a step
-    below an absolute tol can leave tiny components wrong by orders of
+    below an absolute _STEP_TOL can leave tiny components wrong by orders of
     magnitude. At _TRIAGE_STEP the matrices still moving whose |l2/l1|
     predicts more than twice max_iter steps leave uncertified. Returns
     (eigenvalues, vectors, iterations, residuals, certified), where vectors
@@ -112,7 +113,7 @@ def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
     lam, residual = np.full((2, b), np.nan)
     certified = np.zeros(b, dtype=bool)
     vectors, iterations = np.empty((b, n)), np.full(b, max_iter)
-    slow = math.exp(math.log(tol) / (2 * max_iter))
+    slow = math.exp(math.log(_STEP_TOL) / (2 * max_iter))
     live, xs = np.arange(b), x
     # column vectors, so that each product is the same BLAS call as a lone x @ v
     v = np.full((b, n, 1), 1.0 / n)
@@ -121,9 +122,9 @@ def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
         w /= np.add.reduce(w, 1, keepdims=True)
         step = np.maximum.reduce(abs(w - v), 1)
         v = w
-        finished = np.count_nonzero(step < tol)
+        finished = np.count_nonzero(step < _STEP_TOL)
         if it == _TRIAGE_STEP and finished < live.size:
-            drop = ~(step[:, 0] < tol)   # the members still moving, then the slow ones
+            drop = ~(step[:, 0] < _STEP_TOL)   # the members still moving, then the slow ones
             mags = np.sort(abs(np.linalg.eigvals(xs[drop])), axis=1)
             drop[drop] = mags[:, -2] > slow * mags[:, -1]
             vectors[live[drop]], iterations[live[drop]] = v[drop, :, 0], it
@@ -136,7 +137,7 @@ def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
         if last:
             idx, xd, vd = live, xs, v
         else:
-            done = step[:, 0] < tol
+            done = step[:, 0] < _STEP_TOL
             idx, xd, vd = live[done], xs[done], v[done]
             live, xs, v = live[~done], xs[~done], v[~done]
         xv = xd @ vd
@@ -152,32 +153,31 @@ def _perron_batch(x: np.ndarray, tol: float = 1e-12, max_iter: int = 100000):
     return lam, vectors, iterations, residual, certified
 
 
-def principal_scores(x: ComparisonMatrix, tol: float = 1e-12, max_iter: int = 100000) -> PerronSolution:
+def principal_scores(x: ComparisonMatrix, max_iter: int = 100000) -> PerronSolution:
     """Certified Perron eigenpair of a multiplicative comparison matrix.
 
     Starts from the uniform vector and stops when the unit-sum iterate moves
-    by less than tol in max norm. The eigenvalue is the Rayleigh quotient of
+    by less than _STEP_TOL in max norm. The eigenvalue is the Rayleigh quotient of
     the final iterate. A batch of one for _perron_batch; raises NoConvergence,
     with the Collatz-Wielandt log spread of the last iterate, when the solve
     is not certified.
     """
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("principal_scores expects a multiplicative matrix")
-    lam, v, iters, residual, certified = _perron_batch(x.entries[None], tol, max_iter)
+    lam, v, iters, residual, certified = _perron_batch(x.entries[None], max_iter)
     if not certified[0]:
         raise NoConvergence(int(iters[0]), float(_cw_spread(v @ x.entries.T, v)[0]))
-    vec = ScoreVector(v[0], Scale.MULTIPLICATIVE, Normalization.UNIT_SUM)
+    vec = ScoreVector(v[0], Scale.MULTIPLICATIVE)
     return PerronSolution(float(lam[0]), vec, int(iters[0]), float(residual[0]))
 
 
-def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray,
-                      tol: float = 1e-12, max_iter: int = 100000):
+def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray, max_iter: int = 100000):
     """Power iteration on a stack X + e^log_shift * I, entirely in the log domain.
 
     log_x holds the elementwise logs of each X and log_shift one diagonal
     shift per matrix. Every member starts from the zero log vector, is
     centered to sum zero at each step, and stops at the first iteration where
-    it moves by less than tol in max norm; it then leaves the stack and the
+    it moves by less than _STEP_TOL in max norm; it then leaves the stack and the
     rest run on. Returns (vectors, converged): the last centered log vector
     of each member, and whether it stopped within max_iter. Trajectory powers
     need it: they can leave float range, and a shift near the top eigenvalue
@@ -196,7 +196,7 @@ def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray,
         np.exp(t, out=t)
         w = np.logaddexp(peak + np.log(np.add.reduce(t, 2)), shift + u)
         w -= w.mean(axis=1, keepdims=True)
-        done = np.maximum.reduce(abs(w - u), 1) < tol
+        done = np.maximum.reduce(abs(w - u), 1) < _STEP_TOL
         u = w
         if not done.any():
             continue
@@ -229,7 +229,11 @@ def _karp_batch(a: np.ndarray) -> np.ndarray:
     return quotients.min(axis=1).max(axis=1)
 
 
-def _tropical_kernel(a: np.ndarray, edge_tol: float):
+# Absolute slack of the critical-edge and critical-class tests, on the additive scale.
+_EDGE_TOL = 1e-9
+
+
+def _tropical_kernel(a: np.ndarray):
     """Karp, Kleene star and critical edges for a stack: (lambda, vector, star, mask)."""
     lam = _karp_batch(a)
     b, n = a.shape[0], a.shape[1]
@@ -240,7 +244,7 @@ def _tropical_kernel(a: np.ndarray, edge_tol: float):
     diagonal = star.reshape(b, n * n)[:, ::n + 1]
     np.maximum(diagonal, 0.0, out=diagonal)
 
-    crit = shifted + star.transpose(0, 2, 1) >= -edge_tol
+    crit = shifted + star.transpose(0, 2, 1) >= -_EDGE_TOL
     crit.reshape(b, n * n)[:, ::n + 1] = False
     anchor = (crit.any(axis=2) | crit.any(axis=1)).argmax(axis=1)
     vec = star[np.arange(b), :, anchor]
@@ -261,29 +265,35 @@ class TropicalSolution:
 
     eigenvalue: float
     eigenvector: ScoreVector
-    critical_vertices: frozenset[int]
     critical_edges: frozenset[tuple[int, int]]
     critical_class_count: int
-    unique: bool
+
+    @property
+    def critical_vertices(self) -> frozenset[int]:
+        return frozenset(v for edge in self.critical_edges for v in edge)
+
+    @property
+    def unique(self) -> bool:
+        return self.critical_class_count == 1
 
 
-def tropical_solve(m: ComparisonMatrix, edge_tol: float = 1e-9) -> TropicalSolution:
+def tropical_solve(m: ComparisonMatrix) -> TropicalSolution:
     """Solve the max-plus eigenproblem A (x) v = lambda (x) v.
 
     Computes the eigenvalue with Karp's recurrence, shifts it out, and takes
     the Kleene star B* of the shifted matrix. An edge (i, j) is critical when
-    B[i][j] + B*[j][i] vanishes (within edge_tol). Critical vertices i and j
+    B[i][j] + B*[j][i] vanishes (within _EDGE_TOL). Critical vertices i and j
     share a class exactly when B*[i][j] + B*[j][i] vanishes (Butkovic,
     Max-linear Systems, ch. 4), and the eigenvector is unique up to an
     additive constant exactly when there is a single class. The returned
     eigenvector is the B* column at the smallest critical vertex, sum-zero
     normalized. Vertices and edges are reported 1-based.
     """
-    lam, vec, star, crit = _tropical_kernel(to_additive(m).entries[None], edge_tol)
-    if not crit.any():  # rounding at large scales can leave no edge within edge_tol
+    lam, vec, star, crit = _tropical_kernel(to_additive(m).entries[None])
+    if not crit.any():  # rounding at large scales can leave no edge within _EDGE_TOL
         raise InvalidMatrix("no critical cycle found; eigenvalue shift is inconsistent")
-    vec = ScoreVector(vec[0], Scale.ADDITIVE, Normalization.SUM_ZERO)
-    return _LazyTropicalSolution(float(lam[0]), vec, star[0], crit[0], edge_tol)
+    vec = ScoreVector(vec[0], Scale.ADDITIVE)
+    return _LazyTropicalSolution(float(lam[0]), vec, star[0], crit[0])
 
 
 class _LazyTropicalSolution(TropicalSolution):
@@ -294,20 +304,19 @@ class _LazyTropicalSolution(TropicalSolution):
     costs a fifth of a 4-by-4 solve.
     """
 
-    def __init__(self, eigenvalue, eigenvector, star, crit, edge_tol):
-        vars(self).update(eigenvalue=eigenvalue, eigenvector=eigenvector, _pending=(star, crit, edge_tol))
+    def __init__(self, eigenvalue, eigenvector, star, crit):
+        vars(self).update(eigenvalue=eigenvalue, eigenvector=eigenvector, _pending=(star, crit))
 
     def __getattr__(self, name):
-        if name not in ("critical_vertices", "critical_edges", "critical_class_count", "unique"):
+        if name not in ("critical_edges", "critical_class_count"):
             raise AttributeError(name)
-        star, crit, edge_tol = self._pending
+        star, crit = self._pending
         on = crit.any(axis=1) | crit.any(axis=0)
         # each class is named by its smallest critical vertex
-        classes = len(set(((star + star.T >= -edge_tol) & on).argmax(axis=1)[on].tolist()))
+        classes = len(set(((star + star.T >= -_EDGE_TOL) & on).argmax(axis=1)[on].tolist()))
         i, j = np.nonzero(crit)
-        vars(self).update(critical_vertices=frozenset((np.flatnonzero(on) + 1).tolist()),
-                          critical_edges=frozenset(zip((i + 1).tolist(), (j + 1).tolist())),
-                          critical_class_count=classes, unique=classes == 1)
+        vars(self).update(critical_edges=frozenset(zip((i + 1).tolist(), (j + 1).tolist())),
+                          critical_class_count=classes)
         return vars(self)[name]
 
 
@@ -322,8 +331,7 @@ def tropical_scores_multiplicative(x: ComparisonMatrix, base: float = math.e) ->
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("tropical_scores_multiplicative expects a multiplicative matrix")
     sol = tropical_solve(to_additive(x, base))
-    return ScoreVector(np.power(base, sol.eigenvector.values), Scale.MULTIPLICATIVE,
-                       Normalization.SUM_ZERO)
+    return ScoreVector(np.power(base, sol.eigenvector.values), Scale.MULTIPLICATIVE)
 
 
 # -- Hadamard operations ------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     ComparisonMatrix,
-    Normalization,
     Ranking,
     Scale,
     ScoreVector,
@@ -176,7 +175,7 @@ def _descending_scores(sigma: Ranking) -> ScoreVector:
     values = np.empty(sigma.n)
     for pos, item in enumerate(sigma.order):
         values[item - 1] = float(sigma.n - 1 - pos)
-    return ScoreVector(values - values.mean(), Scale.ADDITIVE, Normalization.SUM_ZERO)
+    return ScoreVector(values - values.mean(), Scale.ADDITIVE)
 
 
 @contextlib.contextmanager

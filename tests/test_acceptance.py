@@ -218,7 +218,7 @@ def test_criterion_04_closed_form_matches_general_solver():
         g = np.triu(rng.normal(0.0, 1.0, size=(20000, 4, 4)), 1)
         stack = g - np.transpose(g, (0, 2, 1))
         lam_cf, vec_cf, skip = _closed_form_batch(stack, margin=1e-7)
-        lam_k, vec_k = _tropical_kernel(stack, 1e-9)[:2]
+        lam_k, vec_k = _tropical_kernel(stack)[:2]
         keep = ~skip
         worst_lam = max(worst_lam, float(np.max(np.abs(lam_cf[keep] - lam_k[keep]))))
         worst_vec = max(worst_vec, float(np.max(np.abs(vec_cf[keep] - vec_k[keep]))))
@@ -267,7 +267,7 @@ def test_criterion_05_karp_matches_exhaustive_cycles():
         best = np.full(stack.shape[0], -np.inf)
         for i_arr, j_arr in cycles:
             np.maximum(best, stack[:, i_arr, j_arr].mean(axis=1), out=best)
-        lam, _ = _tropical_kernel(stack, 1e-9)[:2]
+        lam, _ = _tropical_kernel(stack)[:2]
         worst = float(np.max(np.abs(best - lam)))
         assert worst <= 1e-12, f"n={n}: worst gap {worst:.3e}"
         for i in range(0, stack.shape[0], 100):

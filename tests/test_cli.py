@@ -392,6 +392,21 @@ def test_witness_base_is_a_usage_error_for_hodge_tropical(capsys, tmp_path):
     assert not (tmp_path / "w.csv").exists()
 
 
+def test_json_paths_with_control_characters_read_back(capsys, tmp_path, disagree_csv):
+    # a tab or newline in a path reached the JSON string unescaped
+    matrix = tmp_path / "a\tb\nc.csv"
+    matrix.write_text(disagree_csv.read_text())
+    code, out, _ = run(capsys, "rank", str(matrix), "--reciprocity-tol", "0.05")
+    assert code == 0
+    assert json.loads(out)["input"] == str(matrix)
+
+    out_csv = tmp_path / "w\tx\ny.csv"
+    code, out, _ = run(capsys, "witness", "--pair", "hodge-tropical", "--n", "4",
+                       "--sigma1", "1,2,3,4", "--sigma2", "4,3,2,1", "--out", str(out_csv))
+    assert code == 0
+    assert json.loads(out)["matrix_file"] == str(out_csv)
+
+
 def test_witness_matrix_file_is_loadable(capsys, tmp_path):
     out_csv = tmp_path / "w.csv"
     code, _, _ = run(capsys, "witness", "--pair", "hodge-principal",
@@ -516,6 +531,16 @@ def test_simulate_overflowing_trials_count_as_failures():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failures"] > 0
     assert proc.stderr == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n,trials,sd", [("4", "20", "1e308"), ("8", "200", "1e307")])
+def test_simulate_draws_near_the_float_maximum_count_as_failures(capsys, n, trials, sd):
+    # a draw that overflows to inf used to abort the run; a finite one near the
+    # maximum made the hodge and tropical stages warn
+    code, out, err = run(capsys, "simulate", "--n", n, "--trials", trials, "--sd", sd)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["failures"] == int(trials)
 
 
 # -- trajectory ----------------------------------------------------------------

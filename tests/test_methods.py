@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,10 +291,33 @@ def test_tropical_constant_on_transitive_matrix():
     np.testing.assert_allclose(gap, np.full(4, gap[0]), atol=1e-12)
 
 
+def _karp_exact(a: list) -> Fraction:
+    """Karp's maximum cycle mean in rational arithmetic, where every float is exact."""
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    d = [[Fraction(0)] + [None] * (n - 1)]   # best length-k walk weights from item 1
+    for _ in range(n):
+        d.append([max(d[-1][u] + a[u][v] for u in range(n) if d[-1][u] is not None)
+                  for v in range(n)])
+    return max(min((d[n][v] - d[k][v]) / (n - k) for k in range(n) if d[k][v] is not None)
+               for v in range(n))
+
+
+def test_tropical_eigenvalue_matches_exact_karp_across_scales():
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        n = int(rng.integers(3, 8))
+        g = np.triu(rng.normal(size=(n, n)), 1) * 10.0 ** rng.uniform(-12, 8)
+        a = g - g.T
+        got = tropical_eigenvalue(ComparisonMatrix(a, Scale.ADDITIVE))
+        assert abs(Fraction(got) - _karp_exact(a.tolist())) <= 4 * n * eps * np.abs(a).max()
+
+
 def test_tropical_batch_matches_scalar_solver(rand_add):
     rng = np.random.default_rng(10)
     stack = np.stack([rand_add(rng, 4).entries for _ in range(50)])
-    lam_b, vec_b = _tropical_kernel(stack, 1e-9)[:2]
+    lam_b, vec_b = _tropical_kernel(stack)[:2]
     for t in range(50):
         sol = tropical_solve(ComparisonMatrix(stack[t], Scale.ADDITIVE))
         assert lam_b[t] == pytest.approx(sol.eigenvalue, abs=1e-12)
