@@ -6,9 +6,11 @@ small-k regime and the tropical limit.  The Monte Carlo study estimates how
 often the three methods disagree on noisy comparison matrices under seeded,
 trial-indexed randomness, so results are reproducible and identical whether
 trials run serially or in a process pool.  It solves its trials in stacked
-chunks: each method runs once per stack through the batch kernels that the
-scalar entry points (principal_scores, tropical_solve, rank_of, kendall_tau)
-call as batches of one, so every trial gets the scalar path's exact bits.
+chunks: each method, and the exponentiation the Perron method needs, runs
+once per stack through the batch kernels that the scalar entry points
+(hodge_scores, tropical_solve, to_multiplicative, principal_scores, rank_of,
+kendall_tau) call as batches of one, so every trial gets the scalar path's
+exact bits.
 """
 
 from __future__ import annotations
@@ -22,20 +24,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    _RECIPROCITY_EXACT,
     ComparisonMatrix,
     Ranking,
     Scale,
     ScoreVector,
-    _mirror_multiplicative,
+    _exp_stack,
     _rank_rows,
-    _reciprocity_defect,
+    _skew,
     strongly_transitive_from_scores,
     to_additive,
 )
 from .errors import InvalidMatrix
 from .geometry import threecycle_basis
 from .methods import (
+    _hodge_rows,
     _log_perron_batch,
     _perron_batch,
     _tropical_kernel,
@@ -194,11 +196,9 @@ class GaussianUpperTriangle:
     def _sampler(self, n: int):
         """(variates, shape): one trial's random numbers from its generator,
         and the noise matrices of a stack of those."""
-        def shape(z: np.ndarray) -> np.ndarray:
-            g = np.triu(z, 1)
-            return g - np.swapaxes(g, 1, 2)
-
-        return (lambda rng: rng.normal(0.0, self.sd, size=(n, n))), shape
+        iu, ju = np.triu_indices(n, 1)
+        return ((lambda rng: rng.normal(0.0, self.sd, size=(n, n))),
+                (lambda z: _skew(z[:, iu, ju], n)))
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,9 @@ class UniformSTperp:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
             raise ValueError(f"halfwidth must be a finite number above 0; got {self.halfwidth:g}")
+        if math.isinf(2.0 * self.halfwidth):   # the width of the uniform draw
+            raise ValueError(f"halfwidth must be at most {np.finfo(float).max / 2:g}, so that "
+                             f"the draw's width is finite; got {self.halfwidth:g}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         variates, shape = self._sampler(n)
@@ -218,13 +221,10 @@ class UniformSTperp:
     def _sampler(self, n: int):
         """(variates, shape) as for GaussianUpperTriangle; the basis is built once."""
         basis = [b.coords.coords for b in threecycle_basis(n)]
-        iu, ju = np.triu_indices(n, 1)
 
         def shape(coeffs: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(coeffs), n, n))
             # summed term by term in basis order, as for a single trial
-            out[:, iu, ju] = sum(c[:, None] * b for c, b in zip(coeffs.T, basis))
-            return out - np.swapaxes(out, 1, 2)
+            return _skew(sum(c[:, None] * b for c, b in zip(coeffs.T, basis)), n)
 
         return (lambda rng: rng.uniform(-self.halfwidth, self.halfwidth, size=len(basis))), shape
 
@@ -305,15 +305,12 @@ def _tally_stack(a: np.ndarray, tally: dict) -> None:
     path (hodge, then tropical, then exponentiation and Perron) raises:
     a hodge vector ScoreVector rejects (failure), a hodge tie (degenerate),
     no critical edge or a rejected tropical vector (failure), a tropical tie
-    (degenerate), overflow, underflow or a reciprocity defect on
-    exponentiation (failure), a Perron solve that _perron_batch does not
-    certify (failure), a Perron tie (degenerate).
+    (degenerate), overflow on exponentiation (failure), a Perron solve that
+    _perron_batch does not certify (failure), a Perron tie (degenerate).
     """
-    n = a.shape[1]
     # entries near the float maximum overflow here; those trials fail below
     with np.errstate(over="ignore", invalid="ignore"):
-        hodge = a.sum(axis=2) / n
-        hodge = hodge - hodge.mean(axis=1, keepdims=True)
+        hodge = _hodge_rows(a)
         order_h, _, _, tie_h = _rank_rows(hodge)
         _, trop, _, crit = _tropical_kernel(a)
         order_t, _, _, tie_t = _rank_rows(trop)
@@ -332,17 +329,11 @@ def _tally_stack(a: np.ndarray, tally: dict) -> None:
         tally[outcome] += int(mask.size - np.count_nonzero(mask))
         live = live[mask]
 
-    # to_multiplicative, then the checks ComparisonMatrix makes
-    with np.errstate(over="ignore"):
-        powers = np.power(math.e, a[live])
-    finite = np.isfinite(powers).all(axis=(1, 2))
+    # to_multiplicative; with base e every member whose powers are finite passes
+    # the checks ComparisonMatrix makes
+    x, finite = _exp_stack(a[live], math.e)
     keep(finite, "failures")
-    x = _mirror_multiplicative(powers[finite])
-    valid = (np.isfinite(x).all(axis=(1, 2)) & (x > 0.0).all(axis=(1, 2))
-             & ~(_reciprocity_defect(x) > _RECIPROCITY_EXACT))
-    keep(valid, "failures")
-
-    _, perron, _, _, certified = _perron_batch(x[valid])
+    _, perron, _, _, certified = _perron_batch(x)
     keep(certified, "failures")
     order_p, _, _, tie_p = _rank_rows(np.log(perron[certified]))
     keep(~tie_p, "degenerate")

@@ -458,7 +458,7 @@ def main(argv=None) -> int:
         return _fail(f"degenerate result: {exc}", 2)
     except BoundaryCase as exc:
         return _fail(f"boundary result: {exc}", 2)
-    except (PairrankError, ValueError, OSError) as exc:
+    except (PairrankError, ValueError, OSError, MemoryError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -90,7 +90,7 @@ class ComparisonMatrix:
                 raise InvalidMatrix("multiplicative entries must be strictly positive")
             if np.any(np.diagonal(a) != 1.0):
                 raise InvalidMatrix("multiplicative matrix needs a unit diagonal")
-            defect = _reciprocity_defect(a)
+            defect = np.abs(a * a.T - 1.0).max()
             if defect > _RECIPROCITY_EXACT:
                 raise InvalidMatrix(f"reciprocity defect {defect:.3e}; "
                                     "use multiplicative_matrix() to repair raw input")
@@ -101,14 +101,19 @@ class ComparisonMatrix:
         return self.entries.shape[0]
 
 
+def _skew(coords: np.ndarray, n: int) -> np.ndarray:
+    """Skew-symmetric n-by-n matrices from upper-triangle coordinates (the last axis)."""
+    a = np.zeros(coords.shape[:-1] + (n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    a[..., iu, ju] = coords
+    a[..., ju, iu] = -coords
+    return a
+
+
 def _mirror_additive(upper_source: np.ndarray) -> np.ndarray:
     """Build an exactly skew-symmetric matrix from the upper triangle of a raw array."""
     n = upper_source.shape[0]
-    a = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    a[iu, ju] = upper_source[iu, ju]
-    a[ju, iu] = -upper_source[iu, ju]
-    return a
+    return _skew(upper_source[np.triu_indices(n, k=1)], n)
 
 
 def _mirror_multiplicative(upper_source: np.ndarray) -> np.ndarray:
@@ -122,11 +127,6 @@ def _mirror_multiplicative(upper_source: np.ndarray) -> np.ndarray:
     x[..., iu, ju] = upper
     x[..., ju, iu] = 1.0 / upper
     return x
-
-
-def _reciprocity_defect(x: np.ndarray) -> np.ndarray:
-    """max |X[i, j] * X[j, i] - 1| of one matrix or of each in a stack."""
-    return np.abs(x * np.swapaxes(x, -1, -2) - 1.0).max(axis=(-2, -1))
 
 
 def _check_tolerance(tol: float) -> None:
@@ -305,11 +305,7 @@ def matrix_from_upper_triangle(u: UpperTriangleVector | np.ndarray, n: int | Non
             n = (1 + math.isqrt(1 + 8 * coords.size)) // 2
         if coords.size != n * (n - 1) // 2:
             raise InvalidMatrix(f"{coords.size} coordinates do not fill an upper triangle for n={n}")
-    a = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    a[iu, ju] = coords
-    a[ju, iu] = -coords
-    return ComparisonMatrix(a, Scale.ADDITIVE)
+    return ComparisonMatrix(_skew(coords, n), Scale.ADDITIVE)
 
 
 def _check_base(base: float) -> None:
@@ -332,11 +328,19 @@ def to_multiplicative(a: ComparisonMatrix, base: float = math.e) -> ComparisonMa
     _check_base(base)
     if a.scale is Scale.MULTIPLICATIVE:
         return a
-    with np.errstate(over="ignore"):
-        powers = np.power(base, a.entries)
-    if not np.all(np.isfinite(powers)):
+    x, finite = _exp_stack(a.entries[None], base)
+    if not finite[0]:
         raise InvalidMatrix("exponentiation overflowed; rescale the additive matrix first")
-    return ComparisonMatrix(_mirror_multiplicative(powers), Scale.MULTIPLICATIVE)
+    return ComparisonMatrix(x[0], Scale.MULTIPLICATIVE)
+
+
+def _exp_stack(a: np.ndarray, base: float):
+    """(x, finite): finite flags the matrices of a stack whose every power base**A is
+    finite, and x holds those powers, mirrored reciprocal, in stack order."""
+    with np.errstate(over="ignore"):
+        powers = np.power(base, a)
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    return _mirror_multiplicative(powers[finite]), finite
 
 
 # -- permutations ------------------------------------------------------------
@@ -384,7 +388,12 @@ def strongly_transitive_from_scores(s: ScoreVector) -> ComparisonMatrix:
     """The comparison matrix induced by scores: differences or ratios by scale."""
     v = s.values
     if s.scale is Scale.ADDITIVE:
-        return ComparisonMatrix(_mirror_additive(np.subtract.outer(v, v)), Scale.ADDITIVE)
+        iu, ju = np.triu_indices(s.n, k=1)
+        with np.errstate(over="ignore"):
+            diffs = v[iu] - v[ju]
+        if not np.all(np.isfinite(diffs)):
+            raise InvalidMatrix("score differences leave float range")
+        return ComparisonMatrix(_skew(diffs, s.n), Scale.ADDITIVE)
     return ComparisonMatrix(_mirror_multiplicative(np.divide.outer(v, v)), Scale.MULTIPLICATIVE)
 
 

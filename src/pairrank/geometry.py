@@ -23,13 +23,14 @@ from .core import (
     Scale,
     ScoreVector,
     UpperTriangleVector,
+    _skew,
     pair_index,
     perm_inverse,
     strongly_transitive_from_scores,
     upper_triangle,
 )
 from .errors import BoundaryCase, CheckFailed, InvalidMatrix, RegionNotFound, ReductionViolated
-from .methods import TropicalSolution, hodge_scores, tropical_solve
+from .methods import TropicalSolution, _hodge_rows, hodge_scores, tropical_solve
 
 __all__ = [
     "CycleVector",
@@ -253,8 +254,7 @@ def _relabel_action() -> np.ndarray:
     basis vectors in the f-basis (exact, since the f's are orthogonal with
     squared norm 4).
     """
-    f_mats = np.zeros((3, 4, 4))
-    f_mats[:, _IU, _JU], f_mats[:, _JU, _IU] = _FROWS, -_FROWS
+    f_mats = _skew(_FROWS, 4)
     # pulled[t, k]: upper triangle of relabel(F_k, tau^-1), which is F_k[tau(a), tau(b)]
     pulled = f_mats[:, _PERM_IDX[:, _IU], _PERM_IDX[:, _JU]].transpose(1, 0, 2)
     stack = pulled @ _FROWS.T / 4.0
@@ -293,8 +293,7 @@ def _select_regions(a: np.ndarray, margin: float):
     """
     if not margin >= 0.0:   # a negative margin accepts the wrong side of a wall
         raise ValueError(f"margin must be a number >= 0; got {margin:g}")
-    h = a.sum(axis=2) / 4.0
-    h = h - h.mean(axis=1, keepdims=True)
+    h = _hodge_rows(a)
     scale = np.abs(a - (h[:, :, None] - h[:, None, :])).max(axis=(1, 2))
     transitive = scale <= _ST_REL_TOL * np.abs(a).max(axis=(1, 2))
 
@@ -351,8 +350,7 @@ def _region_formulas(a: np.ndarray, g: np.ndarray, tau_idx: np.ndarray,
     num = (_FORMULAS[region_idx] @ g[rows, tau_idx, :, None])[:, :, 0] / 12.0
 
     inv = _INV_IDX[tau_idx]
-    h = a[rows[:, None, None], inv[:, :, None], inv[:, None, :]].sum(axis=2) / 4.0
-    vec = h - h.mean(axis=1, keepdims=True) + num[:, :4]
+    vec = _hodge_rows(a[rows[:, None, None], inv[:, :, None], inv[:, None, :]]) + num[:, :4]
     vec = (vec - vec.mean(axis=1, keepdims=True))[rows[:, None], _PERM_IDX[tau_idx]]
     return num[:, 4], vec
 
@@ -429,11 +427,7 @@ def permutahedron_check4(m: ComparisonMatrix, tol: float = 1e-9) -> Permutahedro
     h = hodge_scores(m).values
 
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=6)))
-    iu, ju = np.triu_indices(4, k=1)
-    e = np.zeros((64, 4, 4))
-    e[:, iu, ju] = signs
-    e[:, ju, iu] = -signs
-    projections = e.sum(axis=2) / 4.0      # h(E) for each sign pattern
+    projections = _hodge_rows(_skew(signs, 4))      # h(E) for each sign pattern
 
     vertex = np.array([3.0, 1.0, -1.0, -3.0]) / 4.0
     attained = 0

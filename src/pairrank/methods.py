@@ -59,10 +59,15 @@ def hodge_scores(m: ComparisonMatrix) -> ScoreVector:
     normalized to a unit first component.
     """
     if m.scale is Scale.ADDITIVE:
-        h = m.entries.sum(axis=1) / m.n
-        return ScoreVector(h - h.mean(), Scale.ADDITIVE)
-    logs = np.log(m.entries).sum(axis=1) / m.n
+        return ScoreVector(_hodge_rows(m.entries[None])[0], Scale.ADDITIVE)
+    logs = np.log(m.entries).mean(axis=1)
     return ScoreVector(np.exp(logs - logs[0]), Scale.MULTIPLICATIVE)
+
+
+def _hodge_rows(a: np.ndarray) -> np.ndarray:
+    """Sum-zero row means of each additive matrix in a stack: its hodge scores."""
+    h = a.sum(axis=2) / a.shape[2]
+    return h - h.mean(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -248,7 +253,7 @@ def _tropical_kernel(a: np.ndarray):
     crit.reshape(b, n * n)[:, ::n + 1] = False
     anchor = (crit.any(axis=2) | crit.any(axis=1)).argmax(axis=1)
     vec = star[np.arange(b), :, anchor]
-    return lam, vec - vec.sum(axis=1, keepdims=True) / n, star, crit
+    return lam, vec - vec.mean(axis=1, keepdims=True), star, crit
 
 
 def tropical_eigenvalue(m: ComparisonMatrix) -> float:
@@ -330,8 +335,7 @@ def tropical_scores_multiplicative(x: ComparisonMatrix, base: float = math.e) ->
     """
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("tropical_scores_multiplicative expects a multiplicative matrix")
-    sol = tropical_solve(to_additive(x, base))
-    return ScoreVector(np.power(base, sol.eigenvector.values), Scale.MULTIPLICATIVE)
+    return tropical_solve(to_additive(x, base)).eigenvector.as_multiplicative(base)
 
 
 # -- Hadamard operations ------------------------------------------------------

@@ -44,7 +44,7 @@ from .errors import (
     TieDetected,
     VerificationFailed,
 )
-from .geometry import t_basis
+from .geometry import cycle_vector, t_basis
 from .methods import (
     hadamard_power,
     hadamard_product,
@@ -170,6 +170,17 @@ def _certified(ranking: Ranking, method: str, wanted: Ranking) -> Ranking:
     return ranking
 
 
+def _first_verified(req: WitnessRequest, candidates, exhausted: Exception) -> WitnessResult:
+    """The first (matrix, parameters) candidate that _verify accepts, else raise exhausted.
+
+    Uncertified Perron solves, ties and wrong rankings are passed over; other errors end it.
+    """
+    for matrix, params in candidates:
+        with contextlib.suppress(NoConvergence, TieDetected, VerificationFailed):
+            return WitnessResult(matrix, req, _verify(matrix, req), params)
+    raise exhausted
+
+
 def _descending_scores(sigma: Ranking) -> ScoreVector:
     """Tie-free additive scores whose ranking is sigma, centered to sum zero."""
     values = np.empty(sigma.n)
@@ -186,6 +197,18 @@ def _float_range(base: float):
             yield
     except InvalidMatrix:
         raise InvalidMatrix(f"base {base:g} takes the witness entries out of float range") from None
+
+
+def _same_rankings(req: WitnessRequest, base: float | None) -> WitnessResult:
+    """The witness for sigma1 == sigma2: sigma1's transitive matrix, additive if base is None."""
+    scores = _descending_scores(req.sigma1)
+    if base is None:
+        m, params = strongly_transitive_from_scores(scores), WitnessParameters(epsilon=0.0)
+    else:
+        with _float_range(base):
+            m = strongly_transitive_from_scores(scores.as_multiplicative(base))
+        params = WitnessParameters(k=1.0, base=base)
+    return WitnessResult(m, req, _verify(m, req), params)
 
 
 # -- the shared base matrix (zero Hodge scores, tie-free tropical) -------------
@@ -265,12 +288,7 @@ def base_hodge_zero_tropical_generic(n: int) -> ComparisonMatrix:
         prime.entries - strongly_transitive_from_scores(hodge_scores(prime)).entries,
         Scale.ADDITIVE)
 
-    bump = np.zeros((n, n))
-    for i, j in cycle_pairs:
-        bump[i - 1, j - 1] = 1.0
-        bump[j - 1, i - 1] = -1.0
-    bump[0, n - 1] = -1.0
-    bump[n - 1, 0] = 1.0
+    bump = matrix_from_upper_triangle(cycle_vector(tuple(range(1, n + 1)), n).coords).entries
 
     k = 1.0
     for _ in range(_MAX_DOUBLINGS):
@@ -305,14 +323,12 @@ def _relabeled_base(req: WitnessRequest) -> ComparisonMatrix:
 
 def _epsilon_search(req: WitnessRequest, relabeled: ComparisonMatrix, eps: float) -> WitnessResult:
     """First relabeled + eps * W, halving eps from the given start, that verifies."""
-    w = strongly_transitive_from_scores(_descending_scores(req.sigma1))
-    for _ in range(_MAX_HALVINGS):
-        candidate = ComparisonMatrix(relabeled.entries + eps * w.entries, Scale.ADDITIVE)
-        with contextlib.suppress(TieDetected, VerificationFailed):
-            return WitnessResult(candidate, req, _verify(candidate, req),
-                                 WitnessParameters(epsilon=eps))
-        eps /= 2.0
-    raise ConstructionFailed("epsilon", f"no epsilon down to 2^-{_MAX_HALVINGS} worked")
+    w = strongly_transitive_from_scores(_descending_scores(req.sigma1)).entries
+    epsilons = (eps / 2.0 ** i for i in range(_MAX_HALVINGS))
+    return _first_verified(
+        req, ((ComparisonMatrix(relabeled.entries + e * w, Scale.ADDITIVE),
+               WitnessParameters(epsilon=e)) for e in epsilons),
+        ConstructionFailed("epsilon", f"no epsilon down to 2^-{_MAX_HALVINGS} worked"))
 
 
 def witness_hodge_tropical(req: WitnessRequest) -> WitnessResult:
@@ -328,19 +344,11 @@ def witness_hodge_tropical(req: WitnessRequest) -> WitnessResult:
     if req.pair is not Pair.HODGE_TROPICAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
     if req.sigma1 == req.sigma2:
-        w = strongly_transitive_from_scores(_descending_scores(req.sigma1))
-        return WitnessResult(w, req, _verify(w, req), WitnessParameters(epsilon=0.0))
+        return _same_rankings(req, None)
     return _epsilon_search(req, _relabeled_base(req), 1.0)
 
 
 # -- Hodge vs principal --------------------------------------------------------
-
-
-def _same_rankings(req: WitnessRequest, base: float) -> WitnessResult:
-    """A principal pair's witness for sigma1 == sigma2: the transitive matrix itself."""
-    with _float_range(base):
-        x = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
-    return WitnessResult(x, req, _verify(x, req), WitnessParameters(k=1.0, base=base))
 
 
 def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> WitnessResult:
@@ -374,16 +382,12 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
     # k = 1, 2, 1/2, 4, 1/4, ...: grow toward the tropical limit, but also
     # try powers below 1, since large powers make the matrix nearly cyclic and
     # stall the iteration while the ranking often crosses over well below 1
-    for e in range(2 * _MAX_DOUBLINGS + 1):
-        k = 2.0 ** ((e + 1) // 2 if e % 2 else -(e // 2))
-        if k * max_log > _LOG_ENTRY_CAP:
-            continue
-        y = hadamard_power(x, k)
-        with contextlib.suppress(NoConvergence, TieDetected, VerificationFailed):
-            return WitnessResult(
-                y, req, _verify(y, req),
-                WitnessParameters(k=k, epsilon=inner.parameters.epsilon, base=base))
-    raise KExhausted(2.0 ** _MAX_DOUBLINGS)
+    ks = (2.0 ** ((e + 1) // 2 if e % 2 else -(e // 2)) for e in range(2 * _MAX_DOUBLINGS + 1))
+    eps = inner.parameters.epsilon
+    return _first_verified(
+        req, ((hadamard_power(x, k), WitnessParameters(k=k, epsilon=eps, base=base))
+              for k in ks if k * max_log <= _LOG_ENTRY_CAP),
+        KExhausted(2.0 ** _MAX_DOUBLINGS))
 
 
 # -- the perturbed transitive matrix and its exact eigenpair -------------------
@@ -545,20 +549,16 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
     with _float_range(base):
         m = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
 
-    k = 1.0
-    for _ in range(_MAX_HALVINGS):
-        try:
-            with np.errstate(over="ignore", divide="ignore"):
-                candidate = hadamard_product(anchored, hadamard_power(m, k))
-        except InvalidMatrix:   # out of float range; halving k shrinks the entries
-            k /= 2.0
-            continue
-        try:
-            return WitnessResult(candidate, req, _verify(candidate, req),
-                                 WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base))
-        except (NoConvergence, TieDetected, VerificationFailed):
-            k /= 2.0
-    raise KExhausted(k)
+    def candidates():
+        for k in (2.0 ** -i for i in range(_MAX_HALVINGS)):
+            try:
+                with np.errstate(over="ignore", divide="ignore"):
+                    y = hadamard_product(anchored, hadamard_power(m, k))
+            except InvalidMatrix:   # out of float range; halving k shrinks the entries
+                continue
+            yield y, WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base)
+
+    return _first_verified(req, candidates(), KExhausted(2.0 ** -_MAX_HALVINGS))
 
 
 def generate_witness(req: WitnessRequest, base: float = math.e) -> WitnessResult:

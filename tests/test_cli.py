@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pairrank import analysis
 from pairrank.analysis import GaussianUpperTriangle
 from pairrank.cli import main
 from pairrank.core import ComparisonMatrix, Ranking, Scale, ScoreVector, load_matrix, rank_of, save_matrix
@@ -431,6 +432,18 @@ def test_classify4_reports_region(capsys, disagree_csv):
     assert report["tropical"]["eigenvalue"] == pytest.approx(0.43535, abs=1e-5)
 
 
+def test_classify4_table_is_pinned(capsys, disagree_csv):
+    code, out, _ = run(capsys, "classify4", str(disagree_csv), "--reciprocity-tol", "0.05",
+                       "--format", "table")
+    assert code == 0
+    assert out == (f"input: {disagree_csv}\n"
+                   "region r1 (facet hexagon), critical cycle (2, 3, 4)\n"
+                   "relabeling tau: (1, 2, 3, 4)\n"
+                   "f original:  1.702 0.099 0.811\n"
+                   "f canonical: 1.702 0.099 0.811\n"
+                   "tropical eigenvalue 0.435, eigenvector 0.016 -0.005 0.005 -0.016\n")
+
+
 def test_classify4_boundary_exits_two(capsys, tmp_path):
     p = tmp_path / "st.csv"
     p.write_text("# scale=additive\n0,1,2,3\n-1,0,1,2\n-2,-1,0,1\n-3,-2,-1,0\n")
@@ -520,6 +533,25 @@ def test_simulate_rejects_noise_parameter_not_finite_and_positive(capsys, noise,
     assert code == 1
     assert out == ""
     assert err == f"error: {flag[2:]} must be a finite number above 0; got {float(value):g}\n"
+
+
+def test_simulate_rejects_halfwidth_whose_draw_width_overflows(capsys):
+    # 2 * halfwidth used to overflow inside Generator.uniform, an OverflowError traceback
+    code, out, err = run(capsys, "simulate", "--n", "5", "--trials", "30",
+                         "--noise", "stperp", "--halfwidth", "1e308")
+    assert (code, out) == (1, "")
+    assert err == ("error: halfwidth must be at most 8.98847e+307, so that the draw's "
+                   "width is finite; got 1e+308\n")
+    code, out, err = run(capsys, "simulate", "--n", "4", "--trials", "5",
+                         "--noise", "stperp", "--halfwidth", repr(sys.float_info.max / 2))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_rejects_scores_whose_differences_overflow(capsys):
+    code, out, err = run(capsys, "simulate", "--n", "4", "--trials", "30",
+                         "--scores", "1e308,0,0,-1e308")
+    assert (code, out, err) == (1, "", "error: score differences leave float range\n")
 
 
 def test_simulate_overflowing_trials_count_as_failures():
@@ -612,6 +644,40 @@ def test_trajectory_stdout_is_pinned(capsys, tmp_path, disagree_csv,
         code, out, _ = run(capsys, "trajectory", path, *flags, *fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trajectory_reports_an_unconverged_point(capsys, monkeypatch, disagree_csv):
+    args = ["trajectory", str(disagree_csv), "--reciprocity-tol", "0.05",
+            "--k-min", "1", "--k-max", "4", "--points", "3"]
+    _, csv_ok, _ = run(capsys, *args)
+    _, json_ok, _ = run(capsys, *args, "--format", "json")
+    real = analysis._log_perron_batch
+
+    def second_point_fails(*solve_args):
+        vectors, converged = real(*solve_args)
+        converged[1] = False
+        return vectors, converged
+
+    monkeypatch.setattr(analysis, "_log_perron_batch", second_point_fails)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    lines, lines_ok = out.splitlines(), csv_ok.splitlines()
+    k = lines_ok[2].split(",")[0]
+    assert lines == lines_ok[:2] + [f"{k},,,,,failed"] + lines_ok[3:]
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    points, points_ok = json.loads(out), json.loads(json_ok)
+    assert points[1] == {"k": float(k), "v": None, "ranking": None, "converged": False}
+    assert points[::2] == points_ok[::2]
+
+
+def test_trajectory_out_of_memory_is_one_error_line(capsys, disagree_csv):
+    # numpy refuses the 72.8 TiB grid at once, so nothing is allocated
+    code, out, err = run(capsys, "trajectory", str(disagree_csv), "--reciprocity-tol", "0.05",
+                         "--points", "10000000000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "72.8 TiB" in err
 
 
 def test_trajectory_grid_validation(capsys, disagree_csv):

@@ -25,6 +25,7 @@ from pairrank.core import (
     to_multiplicative,
     upper_triangle,
 )
+from pairrank.core import _RECIPROCITY_EXACT, _exp_stack, _skew
 from pairrank.errors import InvalidMatrix, MatrixParseError, TieDetected
 
 
@@ -213,3 +214,39 @@ def test_scale_conversions_invert(rand_add):
     assert np.all(x.entries > 0)
     back = to_additive(x, base=3.0)
     np.testing.assert_allclose(back.entries, a.entries, atol=1e-12)
+
+
+def test_exp_stack_members_pass_the_multiplicative_checks():
+    """Every member _exp_stack keeps for base e constructs as a ComparisonMatrix.
+
+    This is why the Monte Carlo study hands those members to the Perron solver
+    without the checks ComparisonMatrix makes.  The scan covers every float
+    within 200,000 ulps of +-ln(max float), where the powers and their
+    reciprocals leave float range, and random skew stacks whose entries reach
+    +-1000.
+    """
+    edge = np.log(np.finfo(float).max)
+    ulps = (np.array(edge).view(np.int64) + np.arange(-200_000, 200_001)).view(float)
+    stacks = [_skew(np.concatenate([ulps, -ulps])[:, None], 2)]
+    rng = np.random.default_rng(14)
+    for n, size in ((3, 20_000), (4, 20_000), (8, 4_000)):
+        magnitude = np.geomspace(1.0, 1000.0, size)[:, None]
+        stacks.append(_skew(magnitude * rng.uniform(-1.0, 1.0, size=(size, n * (n - 1) // 2)), n))
+    for a in stacks:
+        x, finite = _exp_stack(a, math.e)
+        assert 0 < x.shape[0] == np.count_nonzero(finite) < a.shape[0]
+        assert np.isfinite(x).all() and (x > 0.0).all()
+        assert (np.diagonal(x, axis1=1, axis2=2) == 1.0).all()
+        defect = np.abs(x * np.swapaxes(x, 1, 2) - 1.0).max(axis=(1, 2))
+        assert defect.max() <= _RECIPROCITY_EXACT
+        for i in (0, int(defect.argmax()), x.shape[0] - 1):
+            ComparisonMatrix(x[i], Scale.MULTIPLICATIVE)
+
+
+def test_to_multiplicative_is_exp_stack_of_one(rand_add):
+    a = rand_add(np.random.default_rng(5), 5)
+    x, finite = _exp_stack(a.entries[None], 10.0)
+    assert finite.tolist() == [True]
+    assert to_multiplicative(a, base=10.0).entries.tobytes() == x[0].tobytes()
+    with pytest.raises(InvalidMatrix, match="exponentiation overflowed"):
+        to_multiplicative(matrix_from_upper_triangle([800.0]))

@@ -13,7 +13,14 @@ from pairrank.core import (
     rank_of,
     to_additive,
 )
-from pairrank.errors import InvalidPerturbation, NoConvergence, TieDetected
+from pairrank.errors import (
+    ConstructionFailed,
+    InvalidPerturbation,
+    KExhausted,
+    NoConvergence,
+    TieDetected,
+    VerificationFailed,
+)
 from pairrank.methods import (
     hadamard_power,
     hodge_scores,
@@ -368,3 +375,24 @@ def test_generate_witness_dispatches_each_pair():
         m1, m2 = pair.methods
         assert res.verification.method1 == m1
         assert res.verification.method2 == m2
+
+
+@pytest.mark.parametrize("pair,error,message", [
+    (Pair.HODGE_TROPICAL, ConstructionFailed,
+     "construction failed at stage 'epsilon': no epsilon down to 2^-60 worked"),
+    (Pair.HODGE_PRINCIPAL, KExhausted, "exponent schedule exhausted at 1.15292e+18"),
+    (Pair.TROPICAL_PRINCIPAL, KExhausted, "exponent schedule exhausted at 8.67362e-19"),
+], ids=[p.value for p in Pair])
+def test_exhausted_search_names_its_schedule(monkeypatch, pair, error, message):
+    """A search whose every candidate the verifier rejects ends in its own typed error."""
+    real = witness._verify
+
+    def reject(matrix, req):
+        if req.pair is pair:
+            raise VerificationFailed("rejected")
+        return real(matrix, req)
+
+    monkeypatch.setattr(witness, "_verify", reject)
+    with pytest.raises(error) as info:
+        generate_witness(WitnessRequest(4, pair, Ranking((1, 2, 3, 4)), Ranking((4, 3, 2, 1))))
+    assert str(info.value) == message
