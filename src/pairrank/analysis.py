@@ -31,6 +31,7 @@ from .core import (
     _exp_stack,
     _rank_rows,
     _skew,
+    _triu,
     strongly_transitive_from_scores,
     to_additive,
 )
@@ -196,7 +197,7 @@ class GaussianUpperTriangle:
     def _sampler(self, n: int):
         """(variates, shape): one trial's random numbers from its generator,
         and the noise matrices of a stack of those."""
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = _triu(n)
         return ((lambda rng: rng.normal(0.0, self.sd, size=(n, n))),
                 (lambda z: _skew(z[:, iu, ju], n)))
 

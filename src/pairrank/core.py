@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,10 +102,18 @@ class ComparisonMatrix:
         return self.entries.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (iu, ju): the strict upper triangle of an n-by-n matrix, row-major."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _skew(coords: np.ndarray, n: int) -> np.ndarray:
     """Skew-symmetric n-by-n matrices from upper-triangle coordinates (the last axis)."""
     a = np.zeros(coords.shape[:-1] + (n, n))
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _triu(n)
     a[..., iu, ju] = coords
     a[..., ju, iu] = -coords
     return a
@@ -113,7 +122,7 @@ def _skew(coords: np.ndarray, n: int) -> np.ndarray:
 def _mirror_additive(upper_source: np.ndarray) -> np.ndarray:
     """Build an exactly skew-symmetric matrix from the upper triangle of a raw array."""
     n = upper_source.shape[0]
-    return _skew(upper_source[np.triu_indices(n, k=1)], n)
+    return _skew(upper_source[_triu(n)], n)
 
 
 def _mirror_multiplicative(upper_source: np.ndarray) -> np.ndarray:
@@ -122,7 +131,7 @@ def _mirror_multiplicative(upper_source: np.ndarray) -> np.ndarray:
     Works on one matrix or on a stack of them (the last two axes).
     """
     x = np.ones(upper_source.shape)
-    iu, ju = np.triu_indices(upper_source.shape[-1], k=1)
+    iu, ju = _triu(upper_source.shape[-1])
     upper = upper_source[..., iu, ju]
     x[..., iu, ju] = upper
     x[..., ju, iu] = 1.0 / upper
@@ -151,13 +160,19 @@ def additive_matrix(arr: Iterable, *, symmetry_tol: float = 1e-9) -> ComparisonM
     if np.any(np.abs(np.diagonal(a)) > symmetry_tol):
         raise InvalidMatrix("diagonal of an additive matrix must be zero")
     scale_ref = np.maximum(1.0, np.maximum(np.abs(a), np.abs(a.T)))
-    defect = np.abs(a + a.T) / scale_ref
+    with np.errstate(over="ignore"):   # a same-sign pair near the float maximum: defect inf
+        defect = np.abs(a + a.T) / scale_ref
     if np.max(defect) > symmetry_tol:
         i, j = np.unravel_index(int(np.argmax(defect)), a.shape)
         raise InvalidMatrix(
             f"skew-symmetry defect {defect[i, j]:.3e} at entry ({i + 1}, {j + 1}) "
             f"exceeds tolerance {symmetry_tol:g}")
-    return ComparisonMatrix(_mirror_additive((a - a.T) / 2.0), Scale.ADDITIVE)
+    with np.errstate(over="ignore"):
+        skew = (a - a.T) / 2.0
+    # a pair near the float maximum overflows the difference: halve it first there
+    # (everywhere, halving first would round entries below about 4.5e-308)
+    skew = np.where(np.isfinite(skew), skew, a / 2.0 - a.T / 2.0)
+    return ComparisonMatrix(_mirror_additive(skew), Scale.ADDITIVE)
 
 
 def multiplicative_matrix(arr: Iterable, *, reciprocity_tol: float = 1e-9) -> ComparisonMatrix:
@@ -290,7 +305,7 @@ def upper_triangle(m: ComparisonMatrix) -> UpperTriangleVector:
     """Upper-triangle coordinates of an additive matrix."""
     if m.scale is not Scale.ADDITIVE:
         raise InvalidMatrix("upper-triangle coordinates are defined for additive matrices")
-    iu, ju = np.triu_indices(m.n, k=1)
+    iu, ju = _triu(m.n)
     return UpperTriangleVector(m.entries[iu, ju], m.n)
 
 
@@ -388,13 +403,17 @@ def strongly_transitive_from_scores(s: ScoreVector) -> ComparisonMatrix:
     """The comparison matrix induced by scores: differences or ratios by scale."""
     v = s.values
     if s.scale is Scale.ADDITIVE:
-        iu, ju = np.triu_indices(s.n, k=1)
+        iu, ju = _triu(s.n)
         with np.errstate(over="ignore"):
             diffs = v[iu] - v[ju]
         if not np.all(np.isfinite(diffs)):
             raise InvalidMatrix("score differences leave float range")
         return ComparisonMatrix(_skew(diffs, s.n), Scale.ADDITIVE)
-    return ComparisonMatrix(_mirror_multiplicative(np.divide.outer(v, v)), Scale.MULTIPLICATIVE)
+    with np.errstate(over="ignore"):
+        ratios = np.divide.outer(v, v)
+    if not np.all(np.isfinite(ratios)):
+        raise InvalidMatrix("score ratios leave float range")
+    return ComparisonMatrix(_mirror_multiplicative(ratios), Scale.MULTIPLICATIVE)
 
 
 def is_strongly_transitive(m: ComparisonMatrix) -> bool:

@@ -290,17 +290,21 @@ def _select_regions(a: np.ndarray, margin: float):
     images g = M_tau @ f, the worst inequality value per (relabeling, region)
     pair in relabeling-major order, the pairs that clear margin * scale, the
     max-norm of the cycle part, and the numerically strongly transitive rows.
+    Raises InvalidMatrix when that arithmetic leaves float range.
     """
     if not margin >= 0.0:   # a negative margin accepts the wrong side of a wall
         raise ValueError(f"margin must be a number >= 0; got {margin:g}")
-    h = _hodge_rows(a)
-    scale = np.abs(a - (h[:, :, None] - h[:, None, :])).max(axis=(1, 2))
+    # entries near the float maximum can overflow these sums; such input is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _hodge_rows(a)
+        scale = np.abs(a - (h[:, :, None] - h[:, None, :])).max(axis=(1, 2))
+        # an elementwise sum, which rounds alike for every batch size
+        f = (a[:, _IU, _JU, None] * _FROWS.T).sum(axis=1)
+        g = np.einsum("tkl,bl->btk", _MSTACK, f)
+        slack = (g @ _INEQS.T).reshape(-1, 24, 2, 5).min(axis=3).reshape(-1, 48)
+    if not (np.isfinite(scale).all() and np.isfinite(g).all() and np.isfinite(slack).all()):
+        raise InvalidMatrix("region arithmetic leaves float range; rescale the additive matrix first")
     transitive = scale <= _ST_REL_TOL * np.abs(a).max(axis=(1, 2))
-
-    # an elementwise sum, which rounds alike for every batch size
-    f = (a[:, _IU, _JU, None] * _FROWS.T).sum(axis=1)
-    g = np.einsum("tkl,bl->btk", _MSTACK, f)
-    slack = (g @ _INEQS.T).reshape(-1, 24, 2, 5).min(axis=3).reshape(-1, 48)
     clean = slack > (margin * scale)[:, None]
     return f, g, slack, clean, scale, transitive
 

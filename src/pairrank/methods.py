@@ -8,13 +8,15 @@
   of matrices, each stopping where it would stop alone, and it alone decides
   whether a stop is trusted: it certifies each vector by its Collatz-Wielandt
   bounds and drops early the matrices whose spectral ratio rules out
-  convergence. principal_scores passes a stack of one and raises
-  NoConvergence on an uncertified solve; the Monte Carlo study passes its
-  trials and counts those as failures. It solves every matrix built as
-  floats, witness candidates included. Trajectory powers, which can leave
-  float range, go to the one log-domain loop (_log_perron_batch): a
-  diagonally shifted power iteration, batch-first in the same way, that
-  solves a stack of grid points.
+  convergence. It steps in blocks into a history buffer and tests for stops
+  once per block, taking each member's vector at its own stop step, so a
+  member's arithmetic is that of a step-by-step loop. principal_scores
+  passes a stack of one and raises NoConvergence on an uncertified solve;
+  the Monte Carlo study passes its trials and counts those as failures. It
+  solves every matrix built as floats, witness candidates included.
+  Trajectory powers, which can leave float range, go to the one log-domain
+  loop (_log_perron_batch): a diagonally shifted power iteration,
+  batch-first in the same way, that solves a stack of grid points.
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
@@ -89,6 +91,8 @@ _CW_SPREAD = 1e-3
 # iteration needs about ln(_STEP_TOL)/ln|l2/l1| steps (Golub & Van Loan, ch. 7), and a
 # member whose ratio predicts more than twice max_iter stops there, uncertified.
 _TRIAGE_STEP = 64
+# The linear power iteration runs this many steps between stop tests; it divides _TRIAGE_STEP.
+_BLOCK = 16
 
 
 def _cw_spread(xv: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -103,16 +107,22 @@ def _perron_batch(x: np.ndarray, max_iter: int = 100000):
 
     Every matrix starts from the uniform vector, is renormalized to unit sum
     at each step, and stops at the first iteration where its iterate moves by
-    less than _STEP_TOL in max norm; it then leaves the stack and the rest run on.
-    The eigenvalue is the Rayleigh quotient of the final iterate, and the
-    residual is max|X v - lambda v|. A stop is certified when the
-    Collatz-Wielandt log spread of its vector is at most _CW_SPREAD: a step
-    below an absolute _STEP_TOL can leave tiny components wrong by orders of
-    magnitude. At _TRIAGE_STEP the matrices still moving whose |l2/l1|
-    predicts more than twice max_iter steps leave uncertified. Returns
-    (eigenvalues, vectors, iterations, residuals, certified), where vectors
-    holds each matrix's last iterate; a matrix that did not stop within
-    max_iter, or left at triage, has NaN eigenvalue and residual.
+    less than _STEP_TOL in max norm. The steps run in blocks of _BLOCK into a
+    history buffer of shape (_BLOCK + 1, b, n, 1), allocated once per call;
+    each step is a product, a column sum and a divide in place. After a block
+    one max|h[1:] - h[:-1]| finds each member's first step below _STEP_TOL.
+    A member that stopped in the block takes the history vector at its own
+    step and leaves the stack; the steps it ran past that are discarded, so a
+    member's arithmetic is that of a step-by-step loop. The eigenvalue is the
+    Rayleigh quotient of that vector, and the residual is max|X v - lambda v|.
+    A stop is certified when the Collatz-Wielandt log spread of its vector is
+    at most _CW_SPREAD: a step below an absolute _STEP_TOL can leave tiny
+    components wrong by orders of magnitude. At _TRIAGE_STEP, a block
+    boundary, the matrices still moving whose |l2/l1| predicts more than
+    twice max_iter steps leave uncertified. Returns (eigenvalues, vectors,
+    iterations, residuals, certified), where vectors holds each matrix's last
+    iterate; a matrix that did not stop within max_iter, or left at triage,
+    has NaN eigenvalue and residual.
     """
     b, n = x.shape[0], x.shape[1]
     lam, residual = np.full((2, b), np.nan)
@@ -121,40 +131,45 @@ def _perron_batch(x: np.ndarray, max_iter: int = 100000):
     slow = math.exp(math.log(_STEP_TOL) / (2 * max_iter))
     live, xs = np.arange(b), x
     # column vectors, so that each product is the same BLAS call as a lone x @ v
-    v = np.full((b, n, 1), 1.0 / n)
-    for it in range(1, (max_iter if b else 0) + 1):   # an empty stack has nothing to run
-        w = xs @ v
-        w /= np.add.reduce(w, 1, keepdims=True)
-        step = np.maximum.reduce(abs(w - v), 1)
-        v = w
-        finished = np.count_nonzero(step < _STEP_TOL)
-        if it == _TRIAGE_STEP and finished < live.size:
-            drop = ~(step[:, 0] < _STEP_TOL)   # the members still moving, then the slow ones
+    hist, sums = np.empty((_BLOCK + 1, b, n, 1)), np.empty((b, 1, 1))
+    hist[0] = 1.0 / n
+    # bound once: on a small matrix the lookups are a visible share of a step
+    matmul, add, divide = np.matmul, np.add.reduce, np.divide
+    it = 0   # steps taken
+    while live.size and it < max_iter:
+        h, s = hist[:min(_BLOCK, max_iter - it) + 1, :live.size], sums[:live.size]
+        views = list(h)
+        for prev, cur in zip(views, views[1:]):
+            matmul(xs, prev, out=cur)
+            add(cur, 1, keepdims=True, out=s)
+            divide(cur, s, out=cur)
+        below = np.maximum.reduce(abs(h[1:] - h[:-1]), 2)[:, :, 0] < _STEP_TOL
+        stopped = leave = below.any(axis=0)
+        count = np.count_nonzero(stopped)
+        if it + len(below) == _TRIAGE_STEP and count < live.size:
+            drop = ~stopped   # the members still moving, then the slow ones
             mags = np.sort(abs(np.linalg.eigvals(xs[drop])), axis=1)
             drop[drop] = mags[:, -2] > slow * mags[:, -1]
-            vectors[live[drop]], iterations[live[drop]] = v[drop, :, 0], it
-            live, xs, v, step = live[~drop], xs[~drop], v[~drop], step[~drop]
-            if not live.size:
-                break
-        if not finished:
-            continue
-        last = finished == live.size
-        if last:
-            idx, xd, vd = live, xs, v
+            vectors[live[drop]], iterations[live[drop]] = h[-1][drop, :, 0], _TRIAGE_STEP
+            leave = stopped | drop
+        if count:
+            first = below[:, stopped].argmax(axis=0) + 1   # each member's own stop step
+            idx, xd = live[stopped], xs if count == live.size else xs[stopped]
+            vd = h[first, np.flatnonzero(stopped)]
+            xv = xd @ vd
+            vt = vd.transpose(0, 2, 1)
+            rayleigh = vt @ xv / (vt @ vd)
+            lam[idx], residual[idx] = rayleigh[:, 0, 0], np.maximum.reduce(abs(xv - rayleigh * vd), (1, 2))
+            vectors[idx], iterations[idx] = vd[:, :, 0], it + first
+            certified[idx] = _cw_spread(xv[:, :, 0], vd[:, :, 0]) <= _CW_SPREAD
+        it += len(below)
+        if np.count_nonzero(leave):
+            keep = ~leave
+            live, xs = live[keep], xs[keep]
+            hist[0, :live.size] = h[-1][keep]
         else:
-            done = step[:, 0] < _STEP_TOL
-            idx, xd, vd = live[done], xs[done], v[done]
-            live, xs, v = live[~done], xs[~done], v[~done]
-        xv = xd @ vd
-        vt = vd.transpose(0, 2, 1)
-        rayleigh = vt @ xv / (vt @ vd)
-        lam[idx], residual[idx] = rayleigh[:, 0, 0], np.maximum.reduce(abs(xv - rayleigh * vd), (1, 2))
-        vectors[idx], iterations[idx] = vd[:, :, 0], it
-        certified[idx] = _cw_spread(xv[:, :, 0], vd[:, :, 0]) <= _CW_SPREAD
-        if last:
-            break
-    else:
-        vectors[live] = v[:, :, 0]
+            hist[0, :live.size] = h[-1]
+    vectors[live] = hist[0, :live.size, :, 0]
     return lam, vectors, iterations, residual, certified
 
 

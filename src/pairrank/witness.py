@@ -25,6 +25,7 @@ from .core import (
     ScoreVector,
     _check_base,
     _mirror_multiplicative,
+    _triu,
     matrix_from_upper_triangle,
     perm_between,
     rank_of,
@@ -271,7 +272,7 @@ def base_hodge_zero_tropical_generic(n: int) -> ComparisonMatrix:
     for attempt in range(50):
         mu = values.mean()
         profile = np.concatenate([[0.0], np.cumsum(mu - values[:-1])])
-        gaps = np.abs(profile[:, None] - profile[None, :])[np.triu_indices(n, 1)]
+        gaps = np.abs(profile[:, None] - profile[None, :])[_triu(n)]
         if np.min(np.abs(values - mu)) > 1e-6 and np.min(gaps) > 1e-6:
             break
         values = values + 1.0 / (100.0 * np.arange(1, n + 1))

@@ -452,6 +452,31 @@ def test_classify4_boundary_exits_two(capsys, tmp_path):
     assert "boundary" in err
 
 
+# Entries of +-1e308 leave float range when a pair is differenced; entries of
+# 5e307 pass the hodge sums and overflow the region inequalities' product.
+_NEAR_MAX = {
+    "alternating-1e308": "0,1e308,-1e308,1e308\n-1e308,0,1e308,-1e308\n"
+                         "1e308,-1e308,0,1e308\n-1e308,1e308,-1e308,0\n",
+    "upper-5e307": "0,5e307,5e307,5e307\n-5e307,0,5e307,5e307\n"
+                   "-5e307,-5e307,0,5e307\n-5e307,-5e307,-5e307,0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_MAX))
+@pytest.mark.parametrize("command,message", [
+    ("rank", "exponentiation overflowed; rescale the additive matrix first"),
+    ("trajectory", "exponentiation overflowed; rescale the additive matrix first"),
+    ("classify4", "region arithmetic leaves float range; rescale the additive matrix first"),
+])
+def test_matrix_commands_near_the_float_maximum_end_in_one_error_line(capsys, tmp_path, name,
+                                                                     command, message):
+    path = tmp_path / "near_max.csv"
+    path.write_text("# scale=additive\n" + _NEAR_MAX[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, command, str(path)) == (1, "", f"error: {message}\n")
+
+
 # The third draw of default_rng(3).  With --margin -1 the closed form took the
 # region of relabeling (2,1,4,3) and eigenvalue 0.5517; the max-plus eigenvalue
 # is 0.5861.  With --margin nan no region matched and RegionNotFound ended it.

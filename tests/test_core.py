@@ -25,7 +25,7 @@ from pairrank.core import (
     to_multiplicative,
     upper_triangle,
 )
-from pairrank.core import _RECIPROCITY_EXACT, _exp_stack, _skew
+from pairrank.core import _RECIPROCITY_EXACT, _exp_stack, _skew, _triu
 from pairrank.errors import InvalidMatrix, MatrixParseError, TieDetected
 
 
@@ -40,6 +40,18 @@ def test_additive_matrix_rejects_large_defects():
     raw = [[0.0, 1.0], [-0.8, 0.0]]
     with pytest.raises(InvalidMatrix, match="skew-symmetry defect"):
         additive_matrix(raw)
+
+
+def test_additive_matrix_at_both_ends_of_the_float_range():
+    # exactly skew pairs near +-max float and near or below the smallest normal float
+    # come back unchanged, and a same-sign pair near the maximum is a defect,
+    # not a warning
+    big = np.finfo(float).max
+    raw = [[0.0, big, -1e308, 3e-308], [-big, 0.0, 1e308, 5e-324],
+           [1e308, -1e308, 0.0, -1.5e-323], [-3e-308, -5e-324, 1.5e-323, 0.0]]
+    assert additive_matrix(raw).entries.tolist() == raw
+    with pytest.raises(InvalidMatrix, match=r"skew-symmetry defect inf at entry \(1, 2\)"):
+        additive_matrix([[0.0, 1e308], [1e308, 0.0]])
 
 
 def test_additive_matrix_rejects_nonzero_diagonal():
@@ -191,6 +203,21 @@ def test_strongly_transitive_construction():
     assert m.entries[0, 2] == pytest.approx(3.0)
     assert not is_strongly_transitive(
         additive_matrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]))
+
+
+def test_strongly_transitive_from_scores_refuses_ratios_out_of_float_range():
+    s = ScoreVector(np.array([1e300, 1e-300, 1.0]), Scale.MULTIPLICATIVE)
+    with pytest.raises(InvalidMatrix, match="^score ratios leave float range$"):
+        strongly_transitive_from_scores(s)
+
+
+def test_triu_indices_are_cached_and_read_only():
+    iu, ju = _triu(5)
+    assert _triu(5)[0] is iu
+    expected = np.triu_indices(5, k=1)
+    assert np.array_equal(iu, expected[0]) and np.array_equal(ju, expected[1])
+    with pytest.raises(ValueError):
+        iu[0] = 1
 
 
 def test_upper_triangle_round_trip(rand_add):

@@ -159,6 +159,78 @@ def test_perron_batch_certifies_each_member_as_a_batch_of_one(rand_add):
             assert alone.tobytes() == batched[k:k + 1].tobytes()
 
 
+def _perron_step_by_step(x: np.ndarray, max_iter: int = 100000):
+    """The power iteration _perron_batch runs in blocks, with one stop test per step.
+
+    Kept as the reference: each member takes the same products, sums and
+    divides, and leaves the stack at the step where it stops.
+    """
+    b, n = x.shape[0], x.shape[1]
+    lam, residual = np.full((2, b), np.nan)
+    certified = np.zeros(b, dtype=bool)
+    vectors, iterations = np.empty((b, n)), np.full(b, max_iter)
+    slow = math.exp(math.log(methods._STEP_TOL) / (2 * max_iter))
+    live, xs = np.arange(b), x
+    v = np.full((b, n, 1), 1.0 / n)
+    for it in range(1, (max_iter if b else 0) + 1):
+        w = xs @ v
+        w /= np.add.reduce(w, 1, keepdims=True)
+        step = np.maximum.reduce(abs(w - v), 1)
+        v = w
+        finished = np.count_nonzero(step < methods._STEP_TOL)
+        if it == methods._TRIAGE_STEP and finished < live.size:
+            drop = ~(step[:, 0] < methods._STEP_TOL)
+            mags = np.sort(abs(np.linalg.eigvals(xs[drop])), axis=1)
+            drop[drop] = mags[:, -2] > slow * mags[:, -1]
+            vectors[live[drop]], iterations[live[drop]] = v[drop, :, 0], it
+            live, xs, v, step = live[~drop], xs[~drop], v[~drop], step[~drop]
+            if not live.size:
+                break
+        if not finished:
+            continue
+        last = finished == live.size
+        if last:
+            idx, xd, vd = live, xs, v
+        else:
+            done = step[:, 0] < methods._STEP_TOL
+            idx, xd, vd = live[done], xs[done], v[done]
+            live, xs, v = live[~done], xs[~done], v[~done]
+        xv = xd @ vd
+        vt = vd.transpose(0, 2, 1)
+        rayleigh = vt @ xv / (vt @ vd)
+        lam[idx], residual[idx] = rayleigh[:, 0, 0], np.maximum.reduce(abs(xv - rayleigh * vd), (1, 2))
+        vectors[idx], iterations[idx] = vd[:, :, 0], it
+        certified[idx] = methods._cw_spread(xv[:, :, 0], vd[:, :, 0]) <= methods._CW_SPREAD
+        if last:
+            break
+    else:
+        vectors[live] = v[:, :, 0]
+    return lam, vectors, iterations, residual, certified
+
+
+def test_perron_batch_matches_the_step_by_step_loop_bit_for_bit(rand_add):
+    assert methods._TRIAGE_STEP % methods._BLOCK == 0
+    rng = np.random.default_rng(14)
+    stack = np.stack([to_multiplicative(rand_add(rng, 5, sd)).entries
+                      for sd in (0.3, 1.0, 2.0, 3.0) * 6])
+    lam, _, iters, _, _ = _perron_step_by_step(stack, 100)
+    # the cases a block can get wrong, at a budget that is not a multiple of the block
+    stopped = iters[np.isfinite(lam)]
+    blocks = (stopped - 1) // methods._BLOCK
+    assert any(len(set(stopped[blocks == k].tolist())) > 1 for k in set(blocks.tolist()))
+    assert methods._TRIAGE_STEP in stopped.tolist()
+    assert np.isnan(lam[iters == methods._TRIAGE_STEP]).any()   # dropped at triage
+    assert np.isnan(lam[iters == 100]).any()                      # never stopped
+    stop_at_64 = int(np.flatnonzero((iters == methods._TRIAGE_STEP) & np.isfinite(lam))[0])
+    mixed = np.stack([stack[0], _roadmap_matrix().entries, _nearly_cyclic(), stack[stop_at_64]])
+    cases = [(stack, 100), (stack, 50), (stack[:0], 100), (stack[:1], 100),
+             (stack[stop_at_64:stop_at_64 + 1], 100), (mixed, 100000), (mixed[1:3], 100000)]
+    for x, max_iter in cases:
+        for blocked, stepwise in zip(_perron_batch(x, max_iter), _perron_step_by_step(x, max_iter)):
+            assert blocked.dtype == stepwise.dtype
+            assert np.array_equal(blocked, stepwise, equal_nan=True)
+
+
 def test_log_perron_batch_members_match_batches_of_one(rand_add):
     # shifted log powers of one 6x6 matrix, as a trajectory builds them: larger
     # powers need more steps, and k = 60 needs more than the budget
