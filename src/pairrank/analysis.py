@@ -18,8 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .core import (
     Ranking,
     Scale,
     ScoreVector,
+    _check_number,
     _exp_stack,
     _rank_rows,
     _skew,
@@ -151,8 +153,9 @@ def hadamard_trajectory(x: ComparisonMatrix, k_grid=None) -> list[TrajectoryPoin
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) \
             or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("k_grid must be finite, positive and strictly increasing")
-
     log_x = np.log(x.entries)
+    if not math.isfinite(2.0 * float(grid[-1]) * float(np.abs(log_x).max())):   # shifted span
+        raise ValueError("k_grid reaches log powers that leave float range; lower the largest k")
     lam_add = tropical_eigenvalue(to_additive(x))
     points = []
     per_stack = max(1, _STACK_ENTRIES // x.n ** 2)
@@ -187,8 +190,7 @@ class GaussianUpperTriangle:
     sd: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sd) and self.sd > 0):
-            raise ValueError(f"sd must be a finite number above 0; got {self.sd:g}")
+        _check_number("sd", self.sd, 0.0, strict=True)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         variates, shape = self._sampler(n)
@@ -209,8 +211,7 @@ class UniformSTperp:
     halfwidth: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
-            raise ValueError(f"halfwidth must be a finite number above 0; got {self.halfwidth:g}")
+        _check_number("halfwidth", self.halfwidth, 0.0, strict=True)
         if math.isinf(2.0 * self.halfwidth):   # the width of the uniform draw
             raise ValueError(f"halfwidth must be at most {np.finfo(float).max / 2:g}, so that "
                              f"the draw's width is finite; got {self.halfwidth:g}")
@@ -262,9 +263,9 @@ class DisagreementReport:
     seed: int
     degenerate: int
     failures: int
-    counts: dict = field(default_factory=dict)
-    rates: dict = field(default_factory=dict)
-    mean_kendall: dict = field(default_factory=dict)
+    counts: dict
+    rates: dict
+    mean_kendall: dict
 
     @property
     def effective(self) -> int:
@@ -277,8 +278,9 @@ def _signal_matrix(cfg: SimulationConfig) -> np.ndarray:
     return strongly_transitive_from_scores(cfg.true_scores.as_additive()).entries
 
 
-def _simulate_range(cfg: SimulationConfig, start: int, stop: int) -> dict:
-    """Trials start..stop-1; returns integer tallies, merge-order independent.
+def _simulate_range(cfg: SimulationConfig, start: int, stop: int) -> Counter:
+    """Trials start..stop-1; returns integer tallies, merge-order independent, keyed
+    "degenerate", "failures", ("disagree", pair) and ("tau_sum", pair).
 
     Each trial is drawn from its own generator keyed by (seed, trial index)
     and the trials are solved as stacks of at most _STACK_ENTRIES // n**2.
@@ -286,8 +288,7 @@ def _simulate_range(cfg: SimulationConfig, start: int, stop: int) -> dict:
     """
     signal = _signal_matrix(cfg)
     variates, shape = cfg.noise._sampler(cfg.n)
-    tally = {"disagree": dict.fromkeys(METHOD_PAIRS, 0), "tau_sum": dict.fromkeys(METHOD_PAIRS, 0),
-             "degenerate": 0, "failures": 0}
+    tally = Counter()
     chunk = max(1, _STACK_ENTRIES // cfg.n ** 2)
     for lo in range(start, stop, chunk):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -299,7 +300,7 @@ def _simulate_range(cfg: SimulationConfig, start: int, stop: int) -> dict:
     return tally
 
 
-def _tally_stack(a: np.ndarray, tally: dict) -> None:
+def _tally_stack(a: np.ndarray, tally: Counter) -> None:
     """Solve a stack of additive trial matrices and add their outcomes to tally.
 
     The first of these to happen decides a trial, in the order the scalar
@@ -343,8 +344,8 @@ def _tally_stack(a: np.ndarray, tally: dict) -> None:
     for pair in METHOD_PAIRS:
         first, second = pair.split("-")
         tau = _kendall_rows((orders[first], orders[second]))
-        tally["tau_sum"][pair] += int(tau.sum())
-        tally["disagree"][pair] += int(np.count_nonzero(tau))
+        tally["tau_sum", pair] += int(tau.sum())
+        tally["disagree", pair] += int(np.count_nonzero(tau))
 
 
 def monte_carlo_disagreement(cfg: SimulationConfig, jobs: int = 1) -> DisagreementReport:
@@ -372,22 +373,12 @@ def monte_carlo_disagreement(cfg: SimulationConfig, jobs: int = 1) -> Disagreeme
             parts = list(pool.map(_simulate_range, itertools.repeat(cfg),
                                   [a for a, _ in spans], [b for _, b in spans]))
 
-    disagree = dict.fromkeys(METHOD_PAIRS, 0)
-    tau_sum = dict.fromkeys(METHOD_PAIRS, 0)
-    degenerate = failures = 0
-    for p in parts:
-        for pair in METHOD_PAIRS:
-            disagree[pair] += p["disagree"][pair]
-            tau_sum[pair] += p["tau_sum"][pair]
-        degenerate += p["degenerate"]
-        failures += p["failures"]
-
-    effective = cfg.trials - degenerate - failures
-    rates = {pair: (disagree[pair] / effective if effective else math.nan)
-             for pair in METHOD_PAIRS}
-    means = {pair: (tau_sum[pair] / effective if effective else math.nan)
-             for pair in METHOD_PAIRS}
+    tally = sum(parts, Counter())
+    effective = cfg.trials - tally["degenerate"] - tally["failures"]
+    counts, tau_sums = ({pair: tally[key, pair] for pair in METHOD_PAIRS}
+                        for key in ("disagree", "tau_sum"))
     return DisagreementReport(
         n=cfg.n, trials=cfg.trials, seed=cfg.seed,
-        degenerate=degenerate, failures=failures,
-        counts=disagree, rates=rates, mean_kendall=means)
+        degenerate=tally["degenerate"], failures=tally["failures"], counts=counts,
+        rates={p: c / effective if effective else math.nan for p, c in counts.items()},
+        mean_kendall={p: t / effective if effective else math.nan for p, t in tau_sums.items()})

@@ -363,7 +363,8 @@ def cmd_trajectory(args) -> int:
     # np.geomspace warns on a bound that is not finite
     if not 0 < args.k_min < args.k_max < math.inf or args.points < 2:
         raise ValueError("need finite 0 < k-min < k-max and at least two points")
-    grid = np.geomspace(args.k_min, args.k_max, args.points)
+    with np.errstate(over="ignore"):   # a grid past float range is refused below
+        grid = np.geomspace(args.k_min, args.k_max, args.points)
     points = hadamard_trajectory(x, k_grid=grid)
     n = x.n
     if args.format == "json":

@@ -138,10 +138,11 @@ def _mirror_multiplicative(upper_source: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_tolerance(tol: float) -> None:
-    """Reject a tolerance that is negative or not finite: NaN would pass any defect."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be a finite number >= 0; got {tol:g}")
+def _check_number(name: str, value: float, low: float, strict: bool = False) -> None:
+    """Reject a numeric option that is NaN, infinite, below low, or at low when strict."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        bound = f"above {low:g}" if strict else f">= {low:g}"
+        raise ValueError(f"{name} must be a finite number {bound}; got {value:g}")
 
 
 def additive_matrix(arr: Iterable, *, symmetry_tol: float = 1e-9) -> ComparisonMatrix:
@@ -151,7 +152,7 @@ def additive_matrix(arr: Iterable, *, symmetry_tol: float = 1e-9) -> ComparisonM
     (relative to the larger magnitude of the pair, with an absolute floor of
     one); the pair is then replaced by its exact antisymmetrization.
     """
-    _check_tolerance(symmetry_tol)
+    _check_number("tolerance", symmetry_tol, 0.0)
     a = np.asarray(arr, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
@@ -183,7 +184,7 @@ def multiplicative_matrix(arr: Iterable, *, reciprocity_tol: float = 1e-9) -> Co
     by sqrt(X[i, j] / X[j, i]) and mirrored, which preserves the ratio of the
     pair while making the matrix exactly reciprocal.
     """
-    _check_tolerance(reciprocity_tol)
+    _check_number("tolerance", reciprocity_tol, 0.0)
     x = np.asarray(arr, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {x.shape}")
@@ -323,15 +324,9 @@ def matrix_from_upper_triangle(u: UpperTriangleVector | np.ndarray, n: int | Non
     return ComparisonMatrix(_skew(coords, n), Scale.ADDITIVE)
 
 
-def _check_base(base: float) -> None:
-    """Reject a conversion base that is not a finite number above one."""
-    if not (math.isfinite(base) and base > 1.0):
-        raise ValueError(f"base must be a finite number above 1; got {base:g}")
-
-
 def to_additive(x: ComparisonMatrix, base: float = math.e) -> ComparisonMatrix:
     """Elementwise log_base, mapping a multiplicative matrix to an additive one."""
-    _check_base(base)
+    _check_number("base", base, 1.0, strict=True)
     if x.scale is Scale.ADDITIVE:
         return x
     logs = np.log(x.entries) / math.log(base)
@@ -340,7 +335,7 @@ def to_additive(x: ComparisonMatrix, base: float = math.e) -> ComparisonMatrix:
 
 def to_multiplicative(a: ComparisonMatrix, base: float = math.e) -> ComparisonMatrix:
     """Elementwise base**entry, mapping an additive matrix to a multiplicative one."""
-    _check_base(base)
+    _check_number("base", base, 1.0, strict=True)
     if a.scale is Scale.MULTIPLICATIVE:
         return a
     x, finite = _exp_stack(a.entries[None], base)

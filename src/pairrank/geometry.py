@@ -23,7 +23,9 @@ from .core import (
     Scale,
     ScoreVector,
     UpperTriangleVector,
+    _check_number,
     _skew,
+    _triu,
     pair_index,
     perm_inverse,
     strongly_transitive_from_scores,
@@ -93,16 +95,9 @@ def t_basis(n: int) -> list[UpperTriangleVector]:
     """
     if n < 2:
         raise InvalidMatrix("need at least two items")
-    out = []
-    for i in range(1, n + 1):
-        coords = np.zeros(n * (n - 1) // 2)
-        for j in range(1, n + 1):
-            if j > i:
-                coords[pair_index(n, i, j)] = 1.0
-            elif j < i:
-                coords[pair_index(n, j, i)] = -1.0
-        out.append(UpperTriangleVector(coords, n))
-    return out
+    iu, ju = _triu(n)
+    items = np.arange(n)[:, None]   # row i: +1 where item i comes first in the pair, -1 second
+    return [UpperTriangleVector(row, n) for row in (iu == items) * 1.0 - (ju == items)]
 
 
 def threecycle_basis(n: int) -> list[CycleVector]:
@@ -238,7 +233,7 @@ _CANONICAL_REGIONS = (CANONICAL_R1, CANONICAL_GREEN)
 _ST_REL_TOL = 1e-11
 
 
-_IU, _JU = np.triu_indices(4, k=1)
+_IU, _JU = _triu(4)
 _FROWS = np.array([f.coords.coords for f in f_basis4()])
 _PERMS4 = tuple(itertools.permutations(range(1, 5)))
 _PERM_IDX = np.array(_PERMS4) - 1   # row t holds tau(i) - 1 for the t-th relabeling tau
@@ -292,8 +287,7 @@ def _select_regions(a: np.ndarray, margin: float):
     max-norm of the cycle part, and the numerically strongly transitive rows.
     Raises InvalidMatrix when that arithmetic leaves float range.
     """
-    if not margin >= 0.0:   # a negative margin accepts the wrong side of a wall
-        raise ValueError(f"margin must be a number >= 0; got {margin:g}")
+    _check_number("margin", margin, 0.0)   # a negative margin accepts the wrong side of a wall
     # entries near the float maximum can overflow these sums; such input is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         h = _hodge_rows(a)
@@ -302,10 +296,10 @@ def _select_regions(a: np.ndarray, margin: float):
         f = (a[:, _IU, _JU, None] * _FROWS.T).sum(axis=1)
         g = np.einsum("tkl,bl->btk", _MSTACK, f)
         slack = (g @ _INEQS.T).reshape(-1, 24, 2, 5).min(axis=3).reshape(-1, 48)
+        clean = slack > (margin * scale)[:, None]   # an infinite threshold clears no wall
     if not (np.isfinite(scale).all() and np.isfinite(g).all() and np.isfinite(slack).all()):
         raise InvalidMatrix("region arithmetic leaves float range; rescale the additive matrix first")
     transitive = scale <= _ST_REL_TOL * np.abs(a).max(axis=(1, 2))
-    clean = slack > (margin * scale)[:, None]
     return f, g, slack, clean, scale, transitive
 
 

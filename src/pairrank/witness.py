@@ -23,7 +23,7 @@ from .core import (
     Ranking,
     Scale,
     ScoreVector,
-    _check_base,
+    _check_number,
     _mirror_multiplicative,
     _triu,
     matrix_from_upper_triangle,
@@ -363,7 +363,7 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
     """
     if req.pair is not Pair.HODGE_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
-    _check_base(base)
+    _check_number("base", base, 1.0, strict=True)
     if req.sigma1 == req.sigma2:
         return _same_rankings(req, base)
 
@@ -533,7 +533,7 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
     """
     if req.pair is not Pair.TROPICAL_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
-    _check_base(base)
+    _check_number("base", base, 1.0, strict=True)
     if req.sigma1 == req.sigma2:
         return _same_rankings(req, base)
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from pairrank.core import (
     Scale,
     ScoreVector,
     _rank_rows,
+    multiplicative_matrix,
     rank_of,
     strongly_transitive_from_scores,
     to_multiplicative,
@@ -112,6 +115,25 @@ def test_trajectory_grid_validation(disagree_matrix, rand_add):
     rng = np.random.default_rng(5)
     with pytest.raises(InvalidMatrix):
         hadamard_trajectory(rand_add(rng, 4))
+
+
+def test_trajectory_refuses_powers_past_float_range_before_solving(monkeypatch):
+    # max|log x| = ln 4, so the shifted log powers span 2 k ln 4: finite up to
+    # k of about 6.5e307.  Past that the stack used to run all its steps on NaN
+    # (or on overflowed entries) and report failed or meaningless points.
+    x = multiplicative_matrix([[1, 2, 0.5, 4], [0.5, 1, 3, 0.25],
+                               [2, 1 / 3, 1, 2], [0.25, 4, 0.5, 1]])
+    solves = []
+    real = analysis._log_perron_batch
+    monkeypatch.setattr(analysis, "_log_perron_batch",
+                        lambda *args: solves.append(args) or real(*args))
+    for k_max in (1e308, sys.float_info.max):
+        with pytest.raises(ValueError, match="leave float range"):
+            hadamard_trajectory(x, k_grid=[1.0, k_max])
+    assert solves == []
+    points = hadamard_trajectory(x, k_grid=[1.0, 5e307])
+    assert [p.converged for p in points] == [True, True]
+    assert str(points[1].ranking) == "1>4>3>2"
 
 
 def test_trajectory_approaches_tropical_limit(rand_add):
@@ -281,14 +303,12 @@ def test_simulation_seed_changes_outcome():
     assert monte_carlo_disagreement(base) != monte_carlo_disagreement(other)
 
 
-def _scalar_tallies(cfg: SimulationConfig, start: int, stop: int) -> dict:
+def _scalar_tallies(cfg: SimulationConfig, start: int, stop: int) -> Counter:
     """The disagreement study one trial at a time through the public scalar API."""
     signal = np.zeros((cfg.n, cfg.n))
     if cfg.true_scores is not None:
         signal = strongly_transitive_from_scores(cfg.true_scores).entries
-    disagree = dict.fromkeys(METHOD_PAIRS, 0)
-    tau_sum = dict.fromkeys(METHOD_PAIRS, 0)
-    degenerate = failures = 0
+    tally = Counter()
     for t in range(start, stop):
         rng = np.random.default_rng((cfg.seed, t))
         a = ComparisonMatrix(signal + cfg.noise.draw(rng, cfg.n), Scale.ADDITIVE)
@@ -299,18 +319,17 @@ def _scalar_tallies(cfg: SimulationConfig, start: int, stop: int) -> dict:
                 "principal": rank_of(principal_scores(to_multiplicative(a)).eigenvector),
             }
         except TieDetected:
-            degenerate += 1
+            tally["degenerate"] += 1
             continue
         except (NoConvergence, InvalidMatrix):
-            failures += 1
+            tally["failures"] += 1
             continue
         for pair in METHOD_PAIRS:
             first, second = pair.split("-")
             tau = kendall_tau(rankings[first], rankings[second])
-            tau_sum[pair] += tau
-            disagree[pair] += tau > 0
-    return {"disagree": disagree, "tau_sum": tau_sum,
-            "degenerate": degenerate, "failures": failures}
+            tally["tau_sum", pair] += tau
+            tally["disagree", pair] += int(tau > 0)
+    return tally
 
 
 _STPERP_SCORES = ScoreVector(np.array([0.3, -1.1, 0.9, 0.0, -0.4, 1.6]), Scale.ADDITIVE)

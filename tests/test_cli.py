@@ -479,9 +479,17 @@ def test_matrix_commands_near_the_float_maximum_end_in_one_error_line(capsys, tm
 
 # The third draw of default_rng(3).  With --margin -1 the closed form took the
 # region of relabeling (2,1,4,3) and eigenvalue 0.5517; the max-plus eigenvalue
-# is 0.5861.  With --margin nan no region matched and RegionNotFound ended it.
-@pytest.mark.parametrize("margin", ["-1", "nan"])
-def test_classify4_rejects_margin_below_zero_or_nan(capsys, tmp_path, margin):
+# is 0.5861.  With --margin nan no region matched and RegionNotFound ended it;
+# --margin inf was accepted.  The float maximum is a valid margin that clears
+# no wall; margin * scale used to overflow outside np.errstate and warn.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("margin,want,message", [
+    ("-1", 1, "margin must be a finite number >= 0; got -1\n"),
+    ("nan", 1, "margin must be a finite number >= 0; got nan\n"),
+    ("inf", 1, "margin must be a finite number >= 0; got inf\n"),
+    (repr(sys.float_info.max), 2, "boundary result: input lies within "),
+], ids=["-1", "nan", "inf", "float-max"])
+def test_classify4_rejects_margin_below_zero_or_nan(capsys, tmp_path, margin, want, message):
     rng = np.random.default_rng(3)
     for _ in range(3):
         g = np.triu(rng.normal(size=(4, 4)), 1)
@@ -491,8 +499,8 @@ def test_classify4_rejects_margin_below_zero_or_nan(capsys, tmp_path, margin):
     assert code == 0
     assert json.loads(out)["tropical"]["eigenvalue"] == pytest.approx(0.5861247271)
     code, out, err = run(capsys, "classify4", str(path), "--margin", margin)
-    assert (code, out) == (1, "")
-    assert err == f"error: margin must be a number >= 0; got {float(margin):g}\n"
+    assert (code, out) == (want, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 # -- simulate ------------------------------------------------------------------
@@ -718,6 +726,81 @@ def test_trajectory_grid_validation(capsys, disagree_csv):
                                  "--reciprocity-tol", "0.05", *bound)
         assert (code, out) == (1, "")
         assert err == "error: need finite 0 < k-min < k-max and at least two points\n"
+
+
+_MULTIPLICATIVE_4X4 = "1,2,0.5,4\n0.5,1,3,0.25\n2,0.3333333333333333,1,2\n0.25,4,0.5,1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k_max", ["1e308", repr(sys.float_info.max)])
+def test_trajectory_grid_past_float_range_is_one_error_line(capsys, tmp_path, k_max):
+    # 2 k max|log x| overflows: the grid used to warn, then run every step on NaN
+    # (reporting failed points) or on overflowed powers (reporting a ranking)
+    path = tmp_path / "x.csv"
+    path.write_text(_MULTIPLICATIVE_4X4)
+    code, out, err = run(capsys, "trajectory", str(path), "--k-min", "1", "--k-max", k_max,
+                         "--points", "4")
+    assert (code, out) == (1, "")
+    assert err == ("error: k_grid reaches log powers that leave float range; "
+                   "lower the largest k\n")
+
+
+# -- the option contract -------------------------------------------------------
+
+
+_ADDITIVE_4X4 = ("# scale=additive\n"
+                 "0,0.3,-1.7,2.9\n-0.3,0,1.1,-0.6\n1.7,-1.1,0,0.45\n-2.9,0.6,-0.45,0\n")
+
+
+# Every float option at the ends of its range: each run exits 0, 1 or 2, with
+# nothing on stderr on success and one error line otherwise, and no warning.
+_OPTION_RUNS = {
+    "rank": ["rank", "{mult}"],
+    "classify4": ["classify4", "{add}"],
+    "trajectory": ["trajectory", "{mult}", "--points", "4"],
+    "simulate": ["simulate", "--n", "4", "--trials", "20"],
+    "simulate-stperp": ["simulate", "--n", "4", "--trials", "20", "--noise", "stperp"],
+    "witness-hodge-principal": ["witness", "--pair", "hodge-principal", "--n", "4",
+                                "--sigma1", "1,2,3,4", "--sigma2", "2,1,4,3", "--out", "{out}"],
+    "witness-tropical-principal": ["witness", "--pair", "tropical-principal", "--n", "4",
+                                   "--sigma1", "1,2,3,4", "--sigma2", "2,1,4,3",
+                                   "--out", "{out}"],
+}
+_FLOAT_OPTIONS = [("rank", "--base={}"), ("rank", "--reciprocity-tol={}"),
+                  ("classify4", "--base={}"), ("classify4", "--reciprocity-tol={}"),
+                  ("classify4", "--margin={}"),
+                  ("trajectory", "--base={}"), ("trajectory", "--reciprocity-tol={}"),
+                  ("trajectory", "--k-min={}"), ("trajectory", "--k-max={}"),
+                  ("simulate", "--sd={}"), ("simulate", "--scores=0,1,2,{}"),
+                  ("simulate-stperp", "--halfwidth={}"),
+                  ("witness-hodge-principal", "--base={}"),
+                  ("witness-tropical-principal", "--base={}")]
+_EXTREMES = ["nan", "inf", "-inf", "-1", "0", "5e-324", repr(sys.float_info.max)]
+
+
+@pytest.mark.parametrize("value", _EXTREMES)
+@pytest.mark.parametrize("command,option", _FLOAT_OPTIONS,
+                         ids=[f"{c}{o.split('=')[0]}" for c, o in _FLOAT_OPTIONS])
+def test_every_float_option_at_its_extremes_keeps_the_exit_contract(capsys, tmp_path,
+                                                                     command, option, value):
+    files = {"mult": tmp_path / "x.csv", "add": tmp_path / "a.csv", "out": tmp_path / "w.csv"}
+    files["mult"].write_text(_MULTIPLICATIVE_4X4)
+    files["add"].write_text(_ADDITIVE_4X4)
+    argv = [arg.format(**files) for arg in _OPTION_RUNS[command]] + [option.format(value)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # an argparse usage error: usage line, then error line
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.count("\n") == (1 if err.startswith("error: ") else 2)
+        assert err.splitlines()[-1].startswith(("error: ", "pairrank "))
 
 
 # -- module entry point --------------------------------------------------------

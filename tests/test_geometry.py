@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -113,15 +114,25 @@ def test_classify_wall_point_is_boundary():
         classify_region4(from_f([6.0, 2.0, 1.0]))
 
 
-@pytest.mark.parametrize("margin", [-1.0, float("nan")])
+@pytest.mark.parametrize("margin", [-1.0, float("nan"), float("inf")])
 def test_closed_form_entry_points_reject_margin_below_zero_or_nan(margin):
     # a negative margin accepts a region on the wrong side of its walls, and
-    # NaN clears no wall at all
+    # NaN or inf clears no wall at all
     a = from_f([5.0, 2.0, 1.0])
     for solve in (classify_region4, tropical_closed_form4,
                   lambda m, margin: _closed_form_batch(m.entries[None], margin)):
-        with pytest.raises(ValueError, match="margin must be a number >= 0"):
+        with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
             solve(a, margin=margin)
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_maximum_margin_clears_no_wall_without_warning():
+    # margin * scale overflows to inf, which used to warn outside np.errstate
+    a = from_f([5.0, 2.0, 1.0])
+    for solve in (classify_region4, tropical_closed_form4):
+        with pytest.raises(BoundaryCase):
+            solve(a, margin=sys.float_info.max)
+    assert _closed_form_batch(a.entries[None], sys.float_info.max)[2].tolist() == [True]
 
 
 def test_classify_strongly_transitive_is_boundary():
