@@ -466,15 +466,20 @@ def rank_of(scores: ScoreVector) -> Ranking:
 
 
 def _parse_number(token: str, line: int, column: int) -> float:
+    """One CSV field as a float; past float range it is +-inf, as float('1e400') is."""
     token = token.strip()
     if not token:
         raise MatrixParseError("empty field", line, column)
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
+        if "/" not in token:
+            return float(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixParseError(f"cannot parse number {token!r}", line, column) from exc
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def load_matrix(path: str | Path, *, scale_override: Scale | None = None,

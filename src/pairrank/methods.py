@@ -8,12 +8,15 @@
   of matrices, each stopping where it would stop alone, and it alone decides
   whether a stop is trusted: it certifies each vector by its Collatz-Wielandt
   bounds and drops early the matrices whose spectral ratio rules out
-  convergence. It steps in blocks into a history buffer and tests for stops
-  once per block, taking each member's vector at its own stop step, so a
-  member's arithmetic is that of a step-by-step loop. principal_scores
-  passes a stack of one and raises NoConvergence on an uncertified solve;
-  the Monte Carlo study passes its trials and counts those as failures. It
-  solves every matrix built as floats, witness candidates included.
+  convergence. The slow matrices it keeps run on with X + rho I, rho their
+  Perron root, where that contracts faster; the eigenvalues the drop rule
+  takes choose the shift. It steps in blocks into a history buffer and tests
+  for stops once per block, taking each member's vector at its own stop
+  step, so a member's arithmetic is that of a step-by-step loop.
+  principal_scores passes a stack of one and raises NoConvergence on an
+  uncertified solve; the Monte Carlo study passes its trials and counts
+  those as failures. It solves every matrix built as floats, witness
+  candidates included.
   Trajectory powers, which can leave float range, go to the one log-domain
   loop (_log_perron_batch): a diagonally shifted power iteration,
   batch-first in the same way, that solves a stack of grid points.
@@ -102,6 +105,32 @@ def _cw_spread(xv: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(logs, 1) - np.minimum.reduce(logs, 1)
 
 
+def _triage(x: np.ndarray, max_iter: int):
+    """The triage of a stack of members still moving at _TRIAGE_STEP: (slow, shift, shifted).
+
+    slow marks the members whose |l2/l1| predicts more than twice max_iter
+    steps. The others may carry on with X + rho I, where rho = |l1| is the
+    Perron root: the eigenvectors are the same, each eigenvalue l_i becomes
+    l_i + rho, and the iteration contracts by max_{i>=2} |l_i + rho| / 2 rho
+    in place of |l2|/rho. A complex l2 near the Perron circle moves well
+    inside it, a real positive one moves closer. shift marks the members
+    whose contraction improves and whose X + rho I stays in float range;
+    shifted holds X + rho I for every member.
+    """
+    lam = np.linalg.eigvals(x)
+    mags = np.sort(abs(lam), axis=1)
+    slow = mags[:, -2] > math.exp(math.log(_STEP_TOL) / (2 * max_iter)) * mags[:, -1]
+    rho = mags[:, -1]
+    n = x.shape[1]
+    shifted = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the Perron root itself maps to exactly 1, the largest
+        contraction = np.sort(abs(lam / rho[:, None] + 1), axis=1)[:, -2] / 2
+        shifted.reshape(-1, n * n)[:, ::n + 1] += rho[:, None]
+        shift = ~slow & (contraction < mags[:, -2] / rho) & np.isfinite(shifted).all(axis=(1, 2))
+    return slow, shift, shifted
+
+
 def _perron_batch(x: np.ndarray, max_iter: int = 100000):
     """Power iteration on a stack of positive matrices, each run as if alone.
 
@@ -119,7 +148,11 @@ def _perron_batch(x: np.ndarray, max_iter: int = 100000):
     at most _CW_SPREAD: a step below an absolute _STEP_TOL can leave tiny
     components wrong by orders of magnitude. At _TRIAGE_STEP, a block
     boundary, the matrices still moving whose |l2/l1| predicts more than
-    twice max_iter steps leave uncertified. Returns (eigenvalues, vectors,
+    twice max_iter steps leave uncertified, and those _triage shifts carry on
+    from their iterate with X + rho I. The iteration stack holds the shifted
+    matrices and the unshifted stack beside it serves the Rayleigh quotient,
+    the residual and the certificate; both leave together, and they are one
+    array until a member is shifted. Returns (eigenvalues, vectors,
     iterations, residuals, certified), where vectors holds each matrix's last
     iterate; a matrix that did not stop within max_iter, or left at triage,
     has NaN eigenvalue and residual.
@@ -128,8 +161,7 @@ def _perron_batch(x: np.ndarray, max_iter: int = 100000):
     lam, residual = np.full((2, b), np.nan)
     certified = np.zeros(b, dtype=bool)
     vectors, iterations = np.empty((b, n)), np.full(b, max_iter)
-    slow = math.exp(math.log(_STEP_TOL) / (2 * max_iter))
-    live, xs = np.arange(b), x
+    live, xs, xo = np.arange(b), x, x   # the iteration stack and the unshifted one
     # column vectors, so that each product is the same BLAS call as a lone x @ v
     hist, sums = np.empty((_BLOCK + 1, b, n, 1)), np.empty((b, 1, 1))
     hist[0] = 1.0 / n
@@ -148,13 +180,16 @@ def _perron_batch(x: np.ndarray, max_iter: int = 100000):
         count = np.count_nonzero(stopped)
         if it + len(below) == _TRIAGE_STEP and count < live.size:
             drop = ~stopped   # the members still moving, then the slow ones
-            mags = np.sort(abs(np.linalg.eigvals(xs[drop])), axis=1)
-            drop[drop] = mags[:, -2] > slow * mags[:, -1]
+            slow, shift, shifted = _triage(xs[drop], max_iter)
+            if shift.any():
+                xs = xs.copy()
+                xs[np.flatnonzero(drop)[shift]] = shifted[shift]
+            drop[drop] = slow
             vectors[live[drop]], iterations[live[drop]] = h[-1][drop, :, 0], _TRIAGE_STEP
             leave = stopped | drop
         if count:
             first = below[:, stopped].argmax(axis=0) + 1   # each member's own stop step
-            idx, xd = live[stopped], xs if count == live.size else xs[stopped]
+            idx, xd = live[stopped], xo if count == live.size else xo[stopped]
             vd = h[first, np.flatnonzero(stopped)]
             xv = xd @ vd
             vt = vd.transpose(0, 2, 1)
@@ -165,7 +200,9 @@ def _perron_batch(x: np.ndarray, max_iter: int = 100000):
         it += len(below)
         if np.count_nonzero(leave):
             keep = ~leave
+            same = xo is xs
             live, xs = live[keep], xs[keep]
+            xo = xs if same else xo[keep]
             hist[0, :live.size] = h[-1][keep]
         else:
             hist[0, :live.size] = h[-1]

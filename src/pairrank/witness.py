@@ -80,7 +80,9 @@ _MAX_DOUBLINGS = 60
 # magnitude of headroom
 _LOG_ENTRY_CAP = 600.0
 # the verifier's Perron iteration budget; the solver's triage drops a power whose
-# eigenvalue ratio predicts more than twice as many steps
+# eigenvalue ratio predicts more than twice as many steps, and shifts the slow
+# powers it keeps by their Perron root, so the nearly cyclic n = 5 and 6 powers
+# certify in a few hundred steps
 _VERIFY_MAX_ITER = 20000
 
 

@@ -99,6 +99,16 @@ def test_rank_refuses_a_principal_solve_it_cannot_certify(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cell", ["1e400", "1" + "0" * 400 + "/3"], ids=["decimal", "fraction"])
+def test_rank_cell_past_float_range_is_a_typed_error(capsys, tmp_path, cell):
+    p = tmp_path / "huge.csv"
+    p.write_text(f"# scale=additive\n0,{cell},1\n-{cell},0,1\n-1,-1,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "rank", str(p))
+    assert (code, out, err) == (1, "", "error: entries must be finite\n")
+
+
 def test_rank_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "rank", str(tmp_path / "nope.csv"))
     assert code == 1
@@ -284,18 +294,22 @@ def test_witness_tropical_principal_halves_k_past_overflowing_candidates(capsys,
     assert (rankings["tropical"], rankings["principal"]) == ("1>2>3>4>5", "5>4>3>2>1")
 
 
-# sha256 of stdout and of the written matrix for `witness --pair hodge-principal`,
-# recorded when the Hadamard powers were still solved in the log domain.  The
-# n = 4 requests settle at k = 2, 1 and 2.  At n = 5 with the default base the
-# solver's triage drops k = 1 and 2 at step 64 before k = 1/2 certifies; at
-# n = 6 the solve at k = 1 runs out of the verifier's 20,000 iterations and
-# triage drops k = 2.  With --base 100 the solves at k = 2 and 4 stop within
-# three steps on vectors the Collatz-Wielandt certificate rejects, triage drops
-# k = 1, 1/2 and 1/4, and the search settles at k = 1/8.  The last two were
-# recorded before the search skipped any power on its eigenvalue ratio.  The
-# n = 5 --base 1e4 request settles at k = 1/16: the solves at k = 1 and 2 stop
-# uncertified and triage drops k = 1/2, 1/4 and 1/8.  The n = 7 --base 10 one
-# settles at k = 1/2 after two solves that stop on uncertified vectors.
+# sha256 of stdout and of the written matrix for `witness --pair hodge-principal`.
+# The n = 4 requests settle at k = 2, 1 and 2; their digests were recorded when
+# the Hadamard powers were still solved in the log domain.  At n = 5 with the
+# default base the solver's triage drops k = 1 and 2 at step 64, and k = 1/2
+# certifies after triage shifts it by its Perron root.  At n = 6 that shift lets
+# the solve at k = 1 certify, where it used to run out of the verifier's 20,000
+# iterations, so the search settles at k = 1, not 1/2.  With --base 100 the
+# solves at k = 2 and 4 stop within three steps on vectors the Collatz-Wielandt
+# certificate rejects, triage drops k = 1, 1/2 and 1/4, and the search settles
+# at k = 1/8.  The n = 5 --base 1e4 request settles at k = 1/16: the solves at
+# k = 1 and 2 stop uncertified and triage drops k = 1/2, 1/4 and 1/8.  The
+# n = 7 --base 10 one settles at k = 1/2 after two solves that stop on
+# uncertified vectors.  The stdout digests at n = 5, 6 and 7 were re-recorded
+# when triage began to shift: the last digits of the principal scores moved,
+# and at n = 6 the matrix and k too; every new principal ranking agrees with
+# a 50-digit mpmath eigenvector.
 _WITNESS_DIGESTS = [
     ("4", "1>4>3>2", "4>3>2>1", (),
      "103d9001f747149e1097aff32b4668892c2f910abd78cbe6a6f2ba7028178904",
@@ -307,19 +321,19 @@ _WITNESS_DIGESTS = [
      "8ca895af5d6c1e738abd5fa6663554b5374cad58074954bda578a80daf37f4cf",
      "6e24eac1ca15310168aa0e3f927982c4a92d39f34a378f935cfa1e1afc1fd84e"),
     ("5", "5>3>2>1>4", "2>5>1>4>3", (),
-     "fb0acc7d096a6fe7a7b5a11ac6fc3af748578d6ad2c12e7f1163da38a3ddddda",
+     "d60a92f3a411d05ccf0d2725ccab543f6d64cbb37245189fb16fd458b26bae5b",
      "646d3dd10426a4cce39fe8159bc86a3cf904bc44de0241072cae8cabffad65ec"),
     ("5", "1>4>5>2>3", "5>1>2>3>4", ("--base", "100"),
-     "0f1bf36ed1982326dce8e3b9fc65c5a7c69c96e046c770df3067abd440e70d41",
+     "ea68799280755b11515f4d52da9eb8fb5dd208695bb75b6b3e066117fe64d4b3",
      "df5e11c60bd7ecd1e84ba75fd04925a0f1297451686e1699c7f32ab11712e6bd"),
     ("6", "4>6>2>5>3>1", "5>3>2>4>6>1", (),
-     "51d6dc2b7d1dc666d371baf4f5eb4ca4842367ac4938d7708683757ba475d1cd",
-     "29caf399b908fcd2c8cfbcb29d25f84dc3a8f15bf6a3907f20651514f650acd4"),
+     "d35651671d48e15cafc3cf690b7c544c8a20dedd41e725ac2860ecb004bd371b",
+     "73e67b288a1657f3e38dd4dff1b8708dfbe7b2de6c0d98768d46154c4ccb9bc8"),
     ("5", "3>1>5>2>4", "4>2>5>1>3", ("--base", "1e4"),
-     "204178d3e1fc626c5b252e5bec6dc4b3a93d771215092dfc58c26e54fff27ac2",
+     "50ecabc01659511998abcf9a693e5d1125ffa00135b1efb4600e3f1ff220d0a1",
      "5204510ffd1fd0e6e0c02c73bacc0666dc5a135235742de32ed53fda39740570"),
     ("7", "7>4>6>5>1>2>3", "2>4>3>7>6>1>5", ("--base", "10"),
-     "47999f5b6413494208857d75200270de9309824447774d6b5496e9f1582639ea",
+     "45a12b7da83d2d6a87fa91b535ecda6f86fa37be94888c4847004bf153451840",
      "ba0851bce86d57674a6d67f48436be592667d2152530393b5c249bc0acc3c830"),
 ]
 

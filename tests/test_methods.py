@@ -133,14 +133,22 @@ def test_principal_scores_refuses_a_stop_it_cannot_certify():
     assert exc.value.spread > 1.0
 
 
-def _nearly_cyclic() -> np.ndarray:
-    """A random 5x5 matrix plus 12 on the cycle 1 -> 2 -> ... -> 5 -> 1, exponentiated."""
+def _nearly_cyclic(weight: float = 12.0) -> np.ndarray:
+    """A random 5x5 matrix plus weight on the cycle 1 -> 2 -> ... -> 5 -> 1, exponentiated."""
     g = np.triu(np.random.default_rng(3).normal(0.0, 1.0, (5, 5)), 1)
     a = g - g.T
     for i in range(5):
-        a[i, (i + 1) % 5] += 12.0
-        a[(i + 1) % 5, i] -= 12.0
+        a[i, (i + 1) % 5] += weight
+        a[(i + 1) % 5, i] -= weight
     return to_multiplicative(ComparisonMatrix(a, Scale.ADDITIVE)).entries
+
+
+def _two_blocks() -> np.ndarray:
+    """A positive 5x5 matrix of two weakly coupled blocks: l2 is real, positive, 0.79 l1."""
+    x = np.full((5, 5), 0.05)
+    x[:3, :3] = [[1.0, 2.0, 1.0], [0.5, 1.0, 2.0], [1.0, 0.5, 1.0]]
+    x[3:, 3:] = [[1.3, 2.6], [0.65, 1.3]]
+    return x
 
 
 def test_perron_batch_certifies_each_member_as_a_batch_of_one(rand_add):
@@ -163,14 +171,14 @@ def _perron_step_by_step(x: np.ndarray, max_iter: int = 100000):
     """The power iteration _perron_batch runs in blocks, with one stop test per step.
 
     Kept as the reference: each member takes the same products, sums and
-    divides, and leaves the stack at the step where it stops.
+    divides, is shifted by the same triage, and leaves the stack at the step
+    where it stops. Stops are judged on the unshifted matrices in xo.
     """
     b, n = x.shape[0], x.shape[1]
     lam, residual = np.full((2, b), np.nan)
     certified = np.zeros(b, dtype=bool)
     vectors, iterations = np.empty((b, n)), np.full(b, max_iter)
-    slow = math.exp(math.log(methods._STEP_TOL) / (2 * max_iter))
-    live, xs = np.arange(b), x
+    live, xs, xo = np.arange(b), x, x
     v = np.full((b, n, 1), 1.0 / n)
     for it in range(1, (max_iter if b else 0) + 1):
         w = xs @ v
@@ -180,21 +188,23 @@ def _perron_step_by_step(x: np.ndarray, max_iter: int = 100000):
         finished = np.count_nonzero(step < methods._STEP_TOL)
         if it == methods._TRIAGE_STEP and finished < live.size:
             drop = ~(step[:, 0] < methods._STEP_TOL)
-            mags = np.sort(abs(np.linalg.eigvals(xs[drop])), axis=1)
-            drop[drop] = mags[:, -2] > slow * mags[:, -1]
+            slow, shift, shifted = methods._triage(xs[drop], max_iter)
+            xs = xs.copy()
+            xs[np.flatnonzero(drop)[shift]] = shifted[shift]
+            drop[drop] = slow
             vectors[live[drop]], iterations[live[drop]] = v[drop, :, 0], it
-            live, xs, v, step = live[~drop], xs[~drop], v[~drop], step[~drop]
+            live, xs, xo, v, step = live[~drop], xs[~drop], xo[~drop], v[~drop], step[~drop]
             if not live.size:
                 break
         if not finished:
             continue
         last = finished == live.size
         if last:
-            idx, xd, vd = live, xs, v
+            idx, xd, vd = live, xo, v
         else:
             done = step[:, 0] < methods._STEP_TOL
-            idx, xd, vd = live[done], xs[done], v[done]
-            live, xs, v = live[~done], xs[~done], v[~done]
+            idx, xd, vd = live[done], xo[done], v[done]
+            live, xs, xo, v = live[~done], xs[~done], xo[~done], v[~done]
         xv = xd @ vd
         vt = vd.transpose(0, 2, 1)
         rayleigh = vt @ xv / (vt @ vd)
@@ -211,8 +221,10 @@ def _perron_step_by_step(x: np.ndarray, max_iter: int = 100000):
 def test_perron_batch_matches_the_step_by_step_loop_bit_for_bit(rand_add):
     assert methods._TRIAGE_STEP % methods._BLOCK == 0
     rng = np.random.default_rng(14)
+    # _two_blocks() is not shifted and needs 108 steps: with the shift every other
+    # member still moving at triage stops within 100 steps or leaves there
     stack = np.stack([to_multiplicative(rand_add(rng, 5, sd)).entries
-                      for sd in (0.3, 1.0, 2.0, 3.0) * 6])
+                      for sd in (0.3, 1.0, 2.0, 3.0) * 6] + [_two_blocks()])
     lam, _, iters, _, _ = _perron_step_by_step(stack, 100)
     # the cases a block can get wrong, at a budget that is not a multiple of the block
     stopped = iters[np.isfinite(lam)]
@@ -222,13 +234,51 @@ def test_perron_batch_matches_the_step_by_step_loop_bit_for_bit(rand_add):
     assert np.isnan(lam[iters == methods._TRIAGE_STEP]).any()   # dropped at triage
     assert np.isnan(lam[iters == 100]).any()                      # never stopped
     stop_at_64 = int(np.flatnonzero((iters == methods._TRIAGE_STEP) & np.isfinite(lam))[0])
-    mixed = np.stack([stack[0], _roadmap_matrix().entries, _nearly_cyclic(), stack[stop_at_64]])
+    mixed = np.stack([stack[0], _roadmap_matrix().entries, _nearly_cyclic(), stack[stop_at_64],
+                      _two_blocks(), _nearly_cyclic(7.0)])
     cases = [(stack, 100), (stack, 50), (stack[:0], 100), (stack[:1], 100),
              (stack[stop_at_64:stop_at_64 + 1], 100), (mixed, 100000), (mixed[1:3], 100000)]
     for x, max_iter in cases:
         for blocked, stepwise in zip(_perron_batch(x, max_iter), _perron_step_by_step(x, max_iter)):
             assert blocked.dtype == stepwise.dtype
             assert np.array_equal(blocked, stepwise, equal_nan=True)
+
+
+def _without_triage(monkeypatch, x: np.ndarray):
+    """_perron_batch on x with triage moved to a step the loop never reaches."""
+    with monkeypatch.context() as m:
+        m.setattr(methods, "_TRIAGE_STEP", 10**9)
+        return _perron_batch(x)
+
+
+def test_triage_shifts_only_members_it_speeds_up(monkeypatch):
+    # the cycle's l2 is complex, |l2/l1| = 0.987, and |l2 + rho| / 2 rho = 0.800;
+    # _two_blocks() has a real positive l2, which the shift would bring closer to l1
+    stack = np.stack([_nearly_cyclic(7.0), _two_blocks()])
+    lam, vec, iters, residual, certified = _perron_batch(stack)
+    plain = _without_triage(monkeypatch, stack)
+    assert certified.all() and plain[4].all()
+    assert iters.tolist() == [174, 108] and plain[2].tolist() == [1979, 108]
+    for shifted, unshifted in zip((lam, vec, iters, residual, certified), plain):
+        assert shifted[1:].tobytes() == unshifted[1:].tobytes()
+    # the same eigenpair, judged on the unshifted matrix
+    assert np.allclose(vec[0], plain[1][0], rtol=1e-9, atol=0.0)
+    assert abs(lam[0] - plain[0][0]) <= 1e-10 * lam[0] and residual[0] <= 1e-9 * lam[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_triage_leaves_a_member_unshifted_when_the_shift_overflows(monkeypatch):
+    # a noisy 5-cycle plus a tenth of the identity: l2 is complex, so triage
+    # shifts it, but scaled to entries near 1.5e308 its X + rho I overflows
+    p = np.roll(np.eye(5), 1, axis=1)
+    x = (p + 0.1 * np.eye(5) + 0.01) * np.exp(0.01 * np.random.default_rng(0).normal(size=(5, 5)))
+    assert _perron_batch(x[None])[2][0] < _without_triage(monkeypatch, x[None])[2][0]
+    huge = 1.45e308 * x
+    assert huge.max() > 1e308
+    out, plain = _perron_batch(huge[None]), _without_triage(monkeypatch, huge[None])
+    assert out[4][0]
+    for a, b in zip(out, plain):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_log_perron_batch_members_match_batches_of_one(rand_add):
