@@ -482,34 +482,53 @@ def _parse_number(token: str, line: int, column: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _ratio(token: str) -> float:
+    """An ASCII '[+-]digits/digits' field as int / int, rounded as float(Fraction) is."""
+    p, q = token.split("/")
+    if not (token.isascii() and q.isdigit() and p.lstrip("+-").isdigit()):
+        raise ValueError(token)
+    return int(p) / int(q)
+
+
+def _parse_row(fields: list[str], line: int) -> list[float]:
+    """One CSV row as floats in one pass; if that raises, field by field with _parse_number."""
+    try:
+        return [float(tok) if "/" not in tok else _ratio(tok) for tok in fields]
+    except (ValueError, ArithmeticError):
+        return [_parse_number(tok, line, col + 1) for col, tok in enumerate(fields)]
+
+
 def load_matrix(path: str | Path, *, scale_override: Scale | None = None,
                 reciprocity_tol: float = 1e-9) -> ComparisonMatrix:
     """Read a comparison matrix from a plain CSV file.
 
-    An optional first line '# scale=additive' or '# scale=multiplicative'
-    declares the encoding; the default is multiplicative. Fields may be
-    integers, decimals, or fractions like '3/2'. The matrix is validated and
-    repaired with the given reciprocity tolerance.
+    An optional line '# scale=additive' or '# scale=multiplicative' before
+    the first row declares the encoding; the default is multiplicative.
+    Fields may be integers, decimals, or fractions like '3/2'. A UTF-8
+    byte-order mark is skipped. The matrix is validated and repaired with
+    the given reciprocity tolerance.
     """
     path = Path(path)
-    scale = Scale.MULTIPLICATIVE
+    scale = None
     rows: list[list[float]] = []
     row_lines: list[int] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
             if not raw or (len(raw) == 1 and not raw[0].strip()):
                 continue
-            first = raw[0].lstrip()
-            if first.startswith("#"):
+            if raw[0].lstrip().startswith("#"):
                 header = ",".join(raw).lstrip("#").strip().lower()
                 if header.startswith("scale="):
+                    if rows or scale is not None:
+                        raise MatrixParseError("a scale header must come once, before the "
+                                               "first row", lineno)
                     value = header.split("=", 1)[1].strip()
                     try:
                         scale = Scale(value)
                     except ValueError:
                         raise MatrixParseError(f"unknown scale {value!r}", lineno) from None
                 continue
-            rows.append([_parse_number(tok, lineno, col + 1) for col, tok in enumerate(raw)])
+            rows.append(_parse_row(raw, lineno))
             row_lines.append(lineno)
     if not rows:
         raise MatrixParseError(f"{path}: no matrix rows found")

@@ -10,16 +10,17 @@
   bounds and drops early the matrices whose spectral ratio rules out
   convergence. The slow matrices it keeps run on with X + rho I, rho their
   Perron root, where that contracts faster; the eigenvalues the drop rule
-  takes choose the shift. It steps in blocks into a history buffer and tests
-  for stops once per block, taking each member's vector at its own stop
-  step, so a member's arithmetic is that of a step-by-step loop.
+  takes choose the shift.
   principal_scores passes a stack of one and raises NoConvergence on an
   uncertified solve; the Monte Carlo study passes its trials and counts
   those as failures. It solves every matrix built as floats, witness
   candidates included.
   Trajectory powers, which can leave float range, go to the one log-domain
   loop (_log_perron_batch): a diagonally shifted power iteration,
-  batch-first in the same way, that solves a stack of grid points.
+  batch-first in the same way, that solves a stack of grid points. Both
+  loops step in blocks of _BLOCK into a history buffer and test for stops
+  once per block; each member takes its vector from its own stop step, so
+  its arithmetic is that of a step-by-step loop.
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
@@ -94,7 +95,7 @@ _CW_SPREAD = 1e-3
 # iteration needs about ln(_STEP_TOL)/ln|l2/l1| steps (Golub & Van Loan, ch. 7), and a
 # member whose ratio predicts more than twice max_iter stops there, uncertified.
 _TRIAGE_STEP = 64
-# The linear power iteration runs this many steps between stop tests; it divides _TRIAGE_STEP.
+# Both power iterations run this many steps between stop tests; it divides _TRIAGE_STEP.
 _BLOCK = 16
 
 
@@ -234,34 +235,43 @@ def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray, max_iter: int = 
     log_x holds the elementwise logs of each X and log_shift one diagonal
     shift per matrix. Every member starts from the zero log vector, is
     centered to sum zero at each step, and stops at the first iteration where
-    it moves by less than _STEP_TOL in max norm; it then leaves the stack and the
-    rest run on. Returns (vectors, converged): the last centered log vector
-    of each member, and whether it stopped within max_iter. Trajectory powers
-    need it: they can leave float range, and a shift near the top eigenvalue
+    it moves by less than _STEP_TOL in max norm. As in _perron_batch, the
+    steps run in blocks of _BLOCK into a history buffer, and a member that
+    stopped in a block takes the vector of its own step and leaves the stack.
+    Returns (vectors, converged): the last centered log vector of each
+    member, and whether it stopped within max_iter. Trajectory powers need
+    it: they can leave float range, and a shift near the top eigenvalue
     breaks the rotational near-ties of almost cyclic matrices without
     changing the eigenvectors.
     """
     b, n = log_x.shape[0], log_x.shape[1]
     vectors, converged = np.empty((b, n)), np.zeros(b, dtype=bool)
     live, xs, shift = np.arange(b), log_x, log_shift[:, None]
-    u, buf = np.zeros((b, n)), np.empty((b, n, n))
-    for _ in range(max_iter if b else 0):   # an empty stack has nothing to run
-        t = buf[:live.size]
-        np.add(xs, u[:, None, :], out=t)
-        peak = np.maximum.reduce(t, 2)
-        np.subtract(t, peak[:, :, None], out=t)
-        np.exp(t, out=t)
-        w = np.logaddexp(peak + np.log(np.add.reduce(t, 2)), shift + u)
-        w -= w.mean(axis=1, keepdims=True)
-        done = np.maximum.reduce(abs(w - u), 1) < _STEP_TOL
-        u = w
-        if not done.any():
-            continue
-        vectors[live[done]], converged[live[done]] = u[done], True
-        live, xs, u, shift = live[~done], xs[~done], u[~done], shift[~done]
-        if not live.size:
-            break
-    vectors[live] = u
+    hist, buf, peak = np.zeros((_BLOCK + 1, b, n)), np.empty((b, n, n)), np.empty((b, n))
+    rows = np.arange(0, b * n * n, n)   # where each row of buf starts, for reduceat
+    it = 0   # steps taken
+    while live.size and it < max_iter:
+        m = live.size
+        h, t, p = hist[:min(_BLOCK, max_iter - it) + 1, :m], buf[:m], peak[:m]
+        views = list(h)
+        for u, w in zip(views, views[1:]):
+            # w = logaddexp(peak + log sum exp(xs + u - peak), shift + u), centered
+            np.add(xs, u[:, None, :], out=t)
+            np.maximum.reduceat(t.reshape(-1), rows[:m * n], out=p.reshape(-1))
+            np.subtract(t, p[:, :, None], out=t)
+            np.exp(t, out=t)
+            np.log(np.add.reduce(t, 2, out=w), out=w)
+            np.logaddexp(np.add(p, w, out=w), shift + u, out=w)
+            w -= w.mean(axis=1, keepdims=True)
+        below = (abs(h[1:] - h[:-1]) < _STEP_TOL).all(axis=2)   # max step below _STEP_TOL
+        it += len(below)
+        stopped = below.any(axis=0)
+        if stopped.any():
+            first = below[:, stopped].argmax(axis=0) + 1   # each member's own stop step
+            vectors[live[stopped]], converged[live[stopped]] = h[first, np.flatnonzero(stopped)], True
+            live, xs, shift = live[~stopped], xs[~stopped], shift[~stopped]
+        hist[0, :live.size] = h[-1][~stopped]
+    vectors[live] = hist[0, :live.size]
     return vectors, converged
 
 

@@ -1,4 +1,8 @@
+import csv
 import math
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from pairrank.core import (
     to_multiplicative,
     upper_triangle,
 )
-from pairrank.core import _RECIPROCITY_EXACT, _exp_stack, _skew, _triu
+from pairrank.core import _RECIPROCITY_EXACT, _exp_stack, _parse_row, _skew, _triu
 from pairrank.errors import InvalidMatrix, MatrixParseError, TieDetected
 
 
@@ -123,6 +127,132 @@ def test_load_matrix_empty_file(tmp_path):
     p.write_text("\n\n")
     with pytest.raises(MatrixParseError, match="no matrix rows"):
         load_matrix(p)
+
+
+def _reference_number(token: str, line: int, column: int) -> float:
+    """The Fraction-based field parser that load_matrix ran on every field; the reference."""
+    token = token.strip()
+    if not token:
+        raise MatrixParseError("empty field", line, column)
+    try:
+        if "/" not in token:
+            return float(token)
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MatrixParseError(f"cannot parse number {token!r}", line, column) from exc
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _reference_load(path) -> ComparisonMatrix:
+    """load_matrix as it was with the reference parser: its header rule, no byte-order mark."""
+    scale, rows = Scale.MULTIPLICATIVE, []
+    with open(path, newline="") as fh:
+        for lineno, raw in enumerate(csv.reader(fh), start=1):
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            if raw[0].lstrip().startswith("#"):
+                header = ",".join(raw).lstrip("#").strip().lower()
+                if header.startswith("scale="):
+                    scale = Scale(header.split("=", 1)[1].strip())
+                continue
+            rows.append([_reference_number(tok, lineno, col + 1) for col, tok in enumerate(raw)])
+    if scale is Scale.ADDITIVE:
+        return additive_matrix(rows)
+    return multiplicative_matrix(rows)
+
+
+def _parses_as_the_reference(fields: list[str], line: int = 7) -> bool:
+    """_parse_row gives the reference's bits, or its error message; True for values."""
+    try:
+        want = np.array([_reference_number(tok, line, col + 1) for col, tok in enumerate(fields)])
+    except MatrixParseError as exc:
+        with pytest.raises(MatrixParseError) as got:
+            _parse_row(fields, line)
+        assert str(got.value) == str(exc)
+        return False
+    assert np.array(_parse_row(fields, line)).tobytes() == want.tobytes()
+    return True
+
+
+_BIG = str(int(sys.float_info.max))
+_FIELDS = [
+    # plain fields go to float() either way
+    "1", "-2.5", " 3 ", "\t4", "1_000", "١٢", "nan", "-inf", "1e400", "-1e400",
+    "9007199254740993", "1" * 4301, "0x10", "", "   ", "\ufeff1",
+    # ASCII fractions, which take int / int
+    "3/2", "+3/2", "-3/2", "-0/5", "0/5", "3/0", "-7/0", "9007199254740993/1",
+    "-9007199254740993/3", "18014398509481985/2", f"{_BIG}/1", f"-{_BIG}/1",
+    f"{int(_BIG) + 2 ** 970}/1", f"{int(_BIG) + 2 ** 970 - 1}/1",
+    "9" * 400 + "/7", "-" + "9" * 400 + "/3", "1/" + "9" * 400, "-1/" + "9" * 400,
+    "7" * 400 + "/" + "3" * 399, "1/1" + "0" * 320, "3" * 330 + "/" + "7" * 20,
+    "1" * 4301 + "/3", "3/" + "1" * 4301, "1" * 4300 + "/3",
+    # everything else goes back to the reference, for its value or its error
+    " 3/2", "3/2 ", " 3/2", "3/+2", "3/-2", "+-3/2", "1 /2", "1/ 2", "1_000/7",
+    "1/1_000", "١/٢", "²/3", "3/²", "1/2/3", "/2", "2/", "1.5/2",
+    "1e3/2", "nan/2", "\ufeff3/2",
+]
+
+
+def test_parse_row_matches_the_fraction_parser_bit_for_bit():
+    values = [field for field in _FIELDS if _parses_as_the_reference([field])]
+    assert len(values) > 30 and len(_FIELDS) - len(values) > 15
+    # a bad field anywhere in a row keeps its column; good rows parse as one pass
+    for k in range(len(_FIELDS)):
+        _parses_as_the_reference(["1/3", "2"] + _FIELDS[k:k + 3])
+    assert _parses_as_the_reference(values)
+
+
+def test_load_matrix_matches_the_fraction_parser_on_every_reports_file(tmp_path, monkeypatch):
+    # the benchmark's reports workload, seed 0: 256 matrices n = 4..64 and 288 4x4
+    # ones, in both scales, with a quarter of their entries as fractions
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.chdir(tmp_path)
+    import workloads
+    workloads.build("reports", 0)
+    files = sorted(tmp_path.glob("*.csv"))
+    assert len(files) == 256 + 288
+    for path in files:
+        got, want = load_matrix(path), _reference_load(path)
+        assert got.scale is want.scale and got.entries.tobytes() == want.entries.tobytes()
+
+
+def test_load_matrix_quoted_and_empty_fields_match_the_reference(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text('1,"3/2"\n"2/3",1\n')
+    assert load_matrix(p).entries.tobytes() == _reference_load(p).entries.tobytes()
+    for text in ('1,"1,5"\n2/3,1\n', "1,3/2\n,1\n", '1,""\n2/3,1\n', "1, 3/2\n2/3,1/0\n"):
+        p.write_text(text)
+        with pytest.raises(MatrixParseError) as want:
+            _reference_load(p)
+        with pytest.raises(MatrixParseError) as got:
+            load_matrix(p)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("header", ["# scale=additive\n", ""])
+def test_load_matrix_skips_a_byte_order_mark(tmp_path, header):
+    p = tmp_path / "m.csv"
+    body = "0,1/2,-1\n-1/2,0,2\n1,-2,0\n" if header else "1,2\n1/2,1\n"
+    p.write_text("\ufeff" + header + body, encoding="utf-8")
+    m = load_matrix(p)
+    assert m.scale is (Scale.ADDITIVE if header else Scale.MULTIPLICATIVE)
+    assert m.entries[0, 1] == (0.5 if header else 2.0)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# scale=additive\n0,1,-1\n-1,0,2\n1,-2,0\n# scale=multiplicative\n", 5),
+    ("0,1\n# scale=additive\n-1,0\n", 2),
+    ("# scale=additive\n# comment\n# scale=additive\n0,1\n-1,0\n", 3),
+])
+def test_load_matrix_refuses_a_late_or_second_scale_header(tmp_path, text, line):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(MatrixParseError, match=rf"scale header .*\(line {line}\)") as exc:
+        load_matrix(p)
+    assert exc.value.line == line
 
 
 def test_save_load_round_trip(tmp_path, rand_add):

@@ -300,6 +300,63 @@ def test_log_perron_batch_members_match_batches_of_one(rand_add):
     assert _log_perron_batch(stack[5:], shifts[5:])[1][0]
 
 
+def _log_perron_step_by_step(log_x: np.ndarray, log_shift: np.ndarray, max_iter: int = 100000):
+    """The iteration _log_perron_batch runs in blocks, with one stop test per step.
+
+    Kept as the reference: each member takes the same ufuncs in the same
+    order and leaves the stack at the step where it stops. Returns (vectors,
+    converged, steps), steps being the step each member stopped at, or
+    max_iter.
+    """
+    b, n = log_x.shape[0], log_x.shape[1]
+    vectors, converged = np.empty((b, n)), np.zeros(b, dtype=bool)
+    steps = np.full(b, max_iter)
+    live, xs, shift = np.arange(b), log_x, log_shift[:, None]
+    u, buf = np.zeros((b, n)), np.empty((b, n, n))
+    for it in range(1, (max_iter if b else 0) + 1):
+        t = buf[:live.size]
+        np.add(xs, u[:, None, :], out=t)
+        peak = np.maximum.reduce(t, 2)
+        np.subtract(t, peak[:, :, None], out=t)
+        np.exp(t, out=t)
+        w = np.logaddexp(peak + np.log(np.add.reduce(t, 2)), shift + u)
+        w -= w.mean(axis=1, keepdims=True)
+        done = np.maximum.reduce(abs(w - u), 1) < methods._STEP_TOL
+        u = w
+        if not done.any():
+            continue
+        vectors[live[done]], converged[live[done]], steps[live[done]] = u[done], True, it
+        live, xs, u, shift = live[~done], xs[~done], u[~done], shift[~done]
+        if not live.size:
+            break
+    vectors[live] = u
+    return vectors, converged, steps
+
+
+def test_log_perron_batch_matches_the_step_by_step_loop_bit_for_bit(rand_add):
+    rng = np.random.default_rng(19)
+    spread = False   # some block holds members that stop at different steps
+    for n in range(2, 21):
+        b = (1, 60, 13, 2)[n % 4]
+        x = to_multiplicative(rand_add(rng, n, (0.5, 1.0, 2.0)[n % 3]))
+        # shifted log powers, as a trajectory builds them: larger k needs more steps
+        ks = np.geomspace(0.05, 60.0, b)
+        log_k = ks[:, None, None] * np.log(x.entries)
+        peak = log_k.max(axis=(1, 2))
+        stack, shifts = log_k - peak[:, None, None], ks * tropical_eigenvalue(x) - peak
+        for max_iter in (1, 7, 16, 17, 100, 100000):
+            vectors, converged = _log_perron_batch(stack, shifts, max_iter)
+            ref, ref_converged, steps = _log_perron_step_by_step(stack, shifts, max_iter)
+            assert np.array_equal(vectors, ref) and np.array_equal(converged, ref_converged)
+            blocks = (steps[ref_converged] - 1) // methods._BLOCK
+            spread |= any(len(set(steps[ref_converged][blocks == k])) > 1 for k in set(blocks))
+        assert converged.all()
+        assert not _log_perron_batch(stack, shifts, 7)[1].all()   # some never stop
+    assert spread
+    empty = _log_perron_batch(stack[:0], shifts[:0])
+    assert empty[0].shape == (0, 20) and empty[1].shape == (0,)
+
+
 def test_trajectory_points_match_point_by_point(rand_add):
     # 200 points at n = 64 span fifty stacks
     x = to_multiplicative(rand_add(np.random.default_rng(5), 64, 0.5))
