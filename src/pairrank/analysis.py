@@ -244,6 +244,8 @@ class SimulationConfig:
             raise ValueError("simulation needs at least three items")
         if self.trials < 1:
             raise ValueError("trials must be at least one")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer; got {self.seed}")
         if self.true_scores is not None and self.true_scores.n != self.n:
             raise ValueError("true_scores length must match n")
 

@@ -15,12 +15,11 @@
   uncertified solve; the Monte Carlo study passes its trials and counts
   those as failures. It solves every matrix built as floats, witness
   candidates included.
-  Trajectory powers, which can leave float range, go to the one log-domain
-  loop (_log_perron_batch): a diagonally shifted power iteration,
-  batch-first in the same way, that solves a stack of grid points. Both
-  loops step in blocks of _BLOCK into a history buffer and test for stops
-  once per block; each member takes its vector from its own stop step, so
-  its arithmetic is that of a step-by-step loop.
+  Trajectory powers, which can leave float range, go to the log-domain
+  solve (_log_perron_batch), a diagonally shifted power iteration on a
+  stack of grid points. Both solves run one blocked driver (_blocked), each
+  with its own step kernel, that tests for stops once per block of _BLOCK
+  steps; each member takes its vector from its own stop step.
 * tropical_solve: the max-plus eigenproblem. The eigenvalue is the maximum
   mean weight over directed cycles (Karp's recurrence); the eigenvector is a
   column of the Kleene star of the eigenvalue-shifted matrix, together with
@@ -95,7 +94,7 @@ _CW_SPREAD = 1e-3
 # iteration needs about ln(_STEP_TOL)/ln|l2/l1| steps (Golub & Van Loan, ch. 7), and a
 # member whose ratio predicts more than twice max_iter stops there, uncertified.
 _TRIAGE_STEP = 64
-# Both power iterations run this many steps between stop tests; it divides _TRIAGE_STEP.
+# Both power iterations run this many steps between stop tests.
 _BLOCK = 16
 
 
@@ -132,93 +131,107 @@ def _triage(x: np.ndarray, max_iter: int):
     return slow, shift, shifted
 
 
+def _blocked(run_block, state, v0: np.ndarray, max_iter: int):
+    """Power iteration on a stack from v0, each member stopping as if alone.
+
+    run_block(h, *state) fills the history h[1:] from h[0] for the members
+    still moving, whose rows h and state hold, in blocks of _BLOCK steps. One
+    test per block finds each member's first step below _STEP_TOL in max norm;
+    a member that stopped takes that step's vector and leaves, so its arithmetic
+    is that of a step-by-step loop. Returns (vectors, steps, stopped): the stop
+    vector or last iterate, the stop step or max_iter, and whether it stopped.
+    """
+    b = v0.shape[0]
+    vectors, steps, stopped = np.empty_like(v0), np.full(b, max_iter), np.zeros(b, dtype=bool)
+    hist = np.empty((_BLOCK + 1,) + v0.shape)
+    hist[0] = v0
+    live, it = np.arange(b), 0   # it: steps taken
+    while live.size and it < max_iter:
+        m = live.size
+        h = hist[:min(_BLOCK, max_iter - it) + 1, :m]
+        run_block(h, *state)
+        # ufunc reductions, not the array methods: on a small stack the wrappers show
+        below = np.logical_and.reduce((abs(h[1:] - h[:-1]) < _STEP_TOL).reshape(len(h) - 1, m, -1), 2)
+        done = np.logical_or.reduce(below, 0)
+        count = np.count_nonzero(done)
+        if count:
+            first = below[:, done].argmax(axis=0) + 1   # each member's own stop step
+            idx = live[done]
+            vectors[idx], steps[idx], stopped[idx] = h[first, done], it + first, True
+            if count == m:
+                return vectors, steps, stopped
+            keep = ~done
+            live, state = live[keep], [a[keep] for a in state]
+            hist[0, :live.size] = h[-1][keep]
+        else:
+            hist[0, :m] = h[-1]
+        it += len(h) - 1
+    vectors[live] = hist[0, :live.size]
+    return vectors, steps, stopped
+
+
+def _linear_block(h: np.ndarray, x: np.ndarray) -> None:
+    """Unit-sum power steps of a stack x: a product, a column sum and a divide in place.
+
+    The vectors are columns, so that each product is the same BLAS call as a lone x @ v.
+    """
+    s = np.empty((x.shape[0], 1, 1))
+    # bound once: on a small matrix the lookups are a visible share of a step
+    matmul, add, divide = np.matmul, np.add.reduce, np.divide
+    views = list(h)
+    for prev, cur in zip(views, views[1:]):
+        matmul(x, prev, out=cur)
+        add(cur, 1, keepdims=True, out=s)
+        divide(cur, s, out=cur)
+
+
 def _perron_batch(x: np.ndarray, max_iter: int = 100000):
     """Power iteration on a stack of positive matrices, each run as if alone.
 
-    Every matrix starts from the uniform vector, is renormalized to unit sum
-    at each step, and stops at the first iteration where its iterate moves by
-    less than _STEP_TOL in max norm. The steps run in blocks of _BLOCK into a
-    history buffer of shape (_BLOCK + 1, b, n, 1), allocated once per call;
-    each step is a product, a column sum and a divide in place. After a block
-    one max|h[1:] - h[:-1]| finds each member's first step below _STEP_TOL.
-    A member that stopped in the block takes the history vector at its own
-    step and leaves the stack; the steps it ran past that are discarded, so a
-    member's arithmetic is that of a step-by-step loop. The eigenvalue is the
-    Rayleigh quotient of that vector, and the residual is max|X v - lambda v|.
-    A stop is certified when the Collatz-Wielandt log spread of its vector is
-    at most _CW_SPREAD: a step below an absolute _STEP_TOL can leave tiny
-    components wrong by orders of magnitude. At _TRIAGE_STEP, a block
-    boundary, the matrices still moving whose |l2/l1| predicts more than
-    twice max_iter steps leave uncertified, and those _triage shifts carry on
-    from their iterate with X + rho I. The iteration stack holds the shifted
-    matrices and the unshifted stack beside it serves the Rayleigh quotient,
-    the residual and the certificate; both leave together, and they are one
-    array until a member is shifted. Returns (eigenvalues, vectors,
-    iterations, residuals, certified), where vectors holds each matrix's last
-    iterate; a matrix that did not stop within max_iter, or left at triage,
-    has NaN eigenvalue and residual.
+    Every matrix starts from the uniform vector and runs _linear_block steps
+    (unit-sum iterates) under _blocked. When 0 < _TRIAGE_STEP < max_iter the
+    run splits there: of the matrices still moving, those whose |l2/l1|
+    predicts more than twice max_iter steps leave, and the others run on from
+    their iterate, with X + rho I where _triage shifts them. Each stop vector
+    gets its Rayleigh quotient and residual max|X v - lambda v| on the
+    unshifted X, and is certified when its Collatz-Wielandt log spread is at
+    most _CW_SPREAD: a step below an absolute _STEP_TOL can leave tiny
+    components wrong by orders of magnitude. Returns (eigenvalues, vectors,
+    iterations, residuals, certified), vectors holding each last iterate; a
+    matrix that did not stop, or left at triage, has NaN eigenvalue and residual.
     """
     b, n = x.shape[0], x.shape[1]
+    triage = 0 < _TRIAGE_STEP < max_iter
+    v, iterations, stopped = _blocked(_linear_block, (x,), np.full((b, n, 1), 1.0 / n),
+                                      _TRIAGE_STEP if triage else max_iter)
+    if triage and np.count_nonzero(stopped) < b:
+        moving = np.flatnonzero(~stopped)
+        slow, shift, shifted = _triage(x[moving], max_iter)
+        go = moving[~slow]
+        if go.size:
+            xs = np.where(shift[:, None, None], shifted, x[moving])[~slow]
+            v[go], steps, stopped[go] = _blocked(_linear_block, (xs,), v[go], max_iter - _TRIAGE_STEP)
+            iterations[go] += steps
     lam, residual = np.full((2, b), np.nan)
     certified = np.zeros(b, dtype=bool)
-    vectors, iterations = np.empty((b, n)), np.full(b, max_iter)
-    live, xs, xo = np.arange(b), x, x   # the iteration stack and the unshifted one
-    # column vectors, so that each product is the same BLAS call as a lone x @ v
-    hist, sums = np.empty((_BLOCK + 1, b, n, 1)), np.empty((b, 1, 1))
-    hist[0] = 1.0 / n
-    # bound once: on a small matrix the lookups are a visible share of a step
-    matmul, add, divide = np.matmul, np.add.reduce, np.divide
-    it = 0   # steps taken
-    while live.size and it < max_iter:
-        h, s = hist[:min(_BLOCK, max_iter - it) + 1, :live.size], sums[:live.size]
-        views = list(h)
-        for prev, cur in zip(views, views[1:]):
-            matmul(xs, prev, out=cur)
-            add(cur, 1, keepdims=True, out=s)
-            divide(cur, s, out=cur)
-        below = np.maximum.reduce(abs(h[1:] - h[:-1]), 2)[:, :, 0] < _STEP_TOL
-        stopped = leave = below.any(axis=0)
-        count = np.count_nonzero(stopped)
-        if it + len(below) == _TRIAGE_STEP and count < live.size:
-            drop = ~stopped   # the members still moving, then the slow ones
-            slow, shift, shifted = _triage(xs[drop], max_iter)
-            if shift.any():
-                xs = xs.copy()
-                xs[np.flatnonzero(drop)[shift]] = shifted[shift]
-            drop[drop] = slow
-            vectors[live[drop]], iterations[live[drop]] = h[-1][drop, :, 0], _TRIAGE_STEP
-            leave = stopped | drop
-        if count:
-            first = below[:, stopped].argmax(axis=0) + 1   # each member's own stop step
-            idx, xd = live[stopped], xo if count == live.size else xo[stopped]
-            vd = h[first, np.flatnonzero(stopped)]
-            xv = xd @ vd
-            vt = vd.transpose(0, 2, 1)
-            rayleigh = vt @ xv / (vt @ vd)
-            lam[idx], residual[idx] = rayleigh[:, 0, 0], np.maximum.reduce(abs(xv - rayleigh * vd), (1, 2))
-            vectors[idx], iterations[idx] = vd[:, :, 0], it + first
-            certified[idx] = _cw_spread(xv[:, :, 0], vd[:, :, 0]) <= _CW_SPREAD
-        it += len(below)
-        if np.count_nonzero(leave):
-            keep = ~leave
-            same = xo is xs
-            live, xs = live[keep], xs[keep]
-            xo = xs if same else xo[keep]
-            hist[0, :live.size] = h[-1][keep]
-        else:
-            hist[0, :live.size] = h[-1]
-    vectors[live] = hist[0, :live.size, :, 0]
-    return lam, vectors, iterations, residual, certified
+    count = np.count_nonzero(stopped)
+    if count:
+        done = stopped if count < b else slice(None)   # all: views, no copies
+        xd, vd = x[done], v[done]
+        xv = xd @ vd
+        vt = vd.transpose(0, 2, 1)
+        rayleigh = vt @ xv / (vt @ vd)
+        lam[done], residual[done] = rayleigh[:, 0, 0], np.maximum.reduce(abs(xv - rayleigh * vd), (1, 2))
+        certified[done] = _cw_spread(xv[:, :, 0], vd[:, :, 0]) <= _CW_SPREAD
+    return lam, v[:, :, 0], iterations, residual, certified
 
 
 def principal_scores(x: ComparisonMatrix, max_iter: int = 100000) -> PerronSolution:
     """Certified Perron eigenpair of a multiplicative comparison matrix.
 
-    Starts from the uniform vector and stops when the unit-sum iterate moves
-    by less than _STEP_TOL in max norm. The eigenvalue is the Rayleigh quotient of
-    the final iterate. A batch of one for _perron_batch; raises NoConvergence,
-    with the Collatz-Wielandt log spread of the last iterate, when the solve
-    is not certified.
+    A batch of one for _perron_batch: the Rayleigh quotient of the unit-sum
+    iterate where it stops. Raises NoConvergence, with the Collatz-Wielandt
+    log spread of the last iterate, when the solve is not certified.
     """
     if x.scale is not Scale.MULTIPLICATIVE:
         raise InvalidMatrix("principal_scores expects a multiplicative matrix")
@@ -229,49 +242,35 @@ def principal_scores(x: ComparisonMatrix, max_iter: int = 100000) -> PerronSolut
     return PerronSolution(float(lam[0]), vec, int(iters[0]), float(residual[0]))
 
 
+def _log_block(h: np.ndarray, xs: np.ndarray, shift: np.ndarray) -> None:
+    """Steps of X + e^shift I for a stack of log matrices xs, each centered to sum zero."""
+    t, p = np.empty(xs.shape), np.empty(xs.shape[:2])
+    rows = np.arange(0, t.size, xs.shape[2])   # where each row of t starts, for reduceat
+    views = list(h)
+    for u, w in zip(views, views[1:]):
+        # w = logaddexp(peak + log sum exp(xs + u - peak), shift + u), centered
+        np.add(xs, u[:, None, :], out=t)
+        np.maximum.reduceat(t.reshape(-1), rows, out=p.reshape(-1))
+        np.subtract(t, p[:, :, None], out=t)
+        np.exp(t, out=t)
+        np.log(np.add.reduce(t, 2, out=w), out=w)
+        np.logaddexp(np.add(p, w, out=w), shift + u, out=w)
+        w -= w.mean(axis=1, keepdims=True)
+
+
 def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray, max_iter: int = 100000):
     """Power iteration on a stack X + e^log_shift * I, entirely in the log domain.
 
     log_x holds the elementwise logs of each X and log_shift one diagonal
-    shift per matrix. Every member starts from the zero log vector, is
-    centered to sum zero at each step, and stops at the first iteration where
-    it moves by less than _STEP_TOL in max norm. As in _perron_batch, the
-    steps run in blocks of _BLOCK into a history buffer, and a member that
-    stopped in a block takes the vector of its own step and leaves the stack.
-    Returns (vectors, converged): the last centered log vector of each
-    member, and whether it stopped within max_iter. Trajectory powers need
-    it: they can leave float range, and a shift near the top eigenvalue
-    breaks the rotational near-ties of almost cyclic matrices without
-    changing the eigenvectors.
+    shift per matrix. Every member starts from the zero log vector and runs
+    _log_block steps (centered to sum zero) under _blocked. Returns (vectors,
+    converged): each member's last centered log vector, and whether it
+    stopped within max_iter. Trajectory powers need it: they can leave float
+    range, and a shift near the top eigenvalue breaks the rotational
+    near-ties of almost cyclic matrices without changing the eigenvectors.
     """
-    b, n = log_x.shape[0], log_x.shape[1]
-    vectors, converged = np.empty((b, n)), np.zeros(b, dtype=bool)
-    live, xs, shift = np.arange(b), log_x, log_shift[:, None]
-    hist, buf, peak = np.zeros((_BLOCK + 1, b, n)), np.empty((b, n, n)), np.empty((b, n))
-    rows = np.arange(0, b * n * n, n)   # where each row of buf starts, for reduceat
-    it = 0   # steps taken
-    while live.size and it < max_iter:
-        m = live.size
-        h, t, p = hist[:min(_BLOCK, max_iter - it) + 1, :m], buf[:m], peak[:m]
-        views = list(h)
-        for u, w in zip(views, views[1:]):
-            # w = logaddexp(peak + log sum exp(xs + u - peak), shift + u), centered
-            np.add(xs, u[:, None, :], out=t)
-            np.maximum.reduceat(t.reshape(-1), rows[:m * n], out=p.reshape(-1))
-            np.subtract(t, p[:, :, None], out=t)
-            np.exp(t, out=t)
-            np.log(np.add.reduce(t, 2, out=w), out=w)
-            np.logaddexp(np.add(p, w, out=w), shift + u, out=w)
-            w -= w.mean(axis=1, keepdims=True)
-        below = (abs(h[1:] - h[:-1]) < _STEP_TOL).all(axis=2)   # max step below _STEP_TOL
-        it += len(below)
-        stopped = below.any(axis=0)
-        if stopped.any():
-            first = below[:, stopped].argmax(axis=0) + 1   # each member's own stop step
-            vectors[live[stopped]], converged[live[stopped]] = h[first, np.flatnonzero(stopped)], True
-            live, xs, shift = live[~stopped], xs[~stopped], shift[~stopped]
-        hist[0, :live.size] = h[-1][~stopped]
-    vectors[live] = hist[0, :live.size]
+    vectors, _, converged = _blocked(_log_block, (log_x, log_shift[:, None]),
+                                     np.zeros(log_x.shape[:2]), max_iter)
     return vectors, converged
 
 

@@ -27,6 +27,7 @@ from .core import (
     _mirror_multiplicative,
     _triu,
     matrix_from_upper_triangle,
+    pair_index,
     perm_between,
     rank_of,
     relabel,
@@ -45,7 +46,7 @@ from .errors import (
     TieDetected,
     VerificationFailed,
 )
-from .geometry import cycle_vector, t_basis
+from .geometry import cycle_vector, f_basis4, t_basis
 from .methods import (
     hadamard_power,
     hadamard_product,
@@ -223,7 +224,6 @@ def _fill_rows_to_zero(n: int, fixed: dict[tuple[int, int], float]) -> Compariso
     k = n * (n - 1) // 2
     u_fixed = np.zeros(k)
     free = np.ones(k, dtype=bool)
-    from .core import pair_index
     for (i, j), val in fixed.items():
         idx = pair_index(n, i, j)
         u_fixed[idx] = val
@@ -255,7 +255,6 @@ def base_hodge_zero_tropical_generic(n: int) -> ComparisonMatrix:
     if n < 4:
         raise ValueError("the base construction needs at least four items")
     if n == 4:
-        from .geometry import f_basis4
         f1, f2, f3 = (f.coords.coords for f in f_basis4())
         u = (_BASE4_F[0] * f1 + _BASE4_F[1] * f2 + _BASE4_F[2] * f3) / 4.0
         base = matrix_from_upper_triangle(u, 4)

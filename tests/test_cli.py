@@ -582,6 +582,12 @@ def test_simulate_rejects_noise_parameter_not_finite_and_positive(capsys, noise,
     assert err == f"error: {flag[2:]} must be a finite number above 0; got {float(value):g}\n"
 
 
+def test_simulate_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "simulate", "--n", "4", "--trials", "5", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be a non-negative integer; got -1\n"
+
+
 def test_simulate_rejects_halfwidth_whose_draw_width_overflows(capsys):
     # 2 * halfwidth used to overflow inside Generator.uniform, an OverflowError traceback
     code, out, err = run(capsys, "simulate", "--n", "5", "--trials", "30",

@@ -237,11 +237,24 @@ def test_perron_batch_matches_the_step_by_step_loop_bit_for_bit(rand_add):
     mixed = np.stack([stack[0], _roadmap_matrix().entries, _nearly_cyclic(), stack[stop_at_64],
                       _two_blocks(), _nearly_cyclic(7.0)])
     cases = [(stack, 100), (stack, 50), (stack[:0], 100), (stack[:1], 100),
-             (stack[stop_at_64:stop_at_64 + 1], 100), (mixed, 100000), (mixed[1:3], 100000)]
+             (stack[stop_at_64:stop_at_64 + 1], 100), (mixed, 100000), (mixed[1:3], 100000),
+             (stack, 0), (stack, 1), (mixed, 63), (mixed, 64), (mixed, 65)]
     for x, max_iter in cases:
         for blocked, stepwise in zip(_perron_batch(x, max_iter), _perron_step_by_step(x, max_iter)):
             assert blocked.dtype == stepwise.dtype
             assert np.array_equal(blocked, stepwise, equal_nan=True)
+
+
+def test_perron_batch_without_triage_matches_the_step_by_step_loop(monkeypatch):
+    # tests switch triage off with a step the loop never reaches, 0 among them:
+    # the solver must then run every member the whole way, as the reference does
+    stack = np.stack([_nearly_cyclic(), _nearly_cyclic(7.0), _two_blocks()])
+    monkeypatch.setattr(methods, "_TRIAGE_STEP", 0)
+    blocked, stepwise = _perron_batch(stack, 20000), _perron_step_by_step(stack, 20000)
+    assert stepwise[2].tolist() == [20000, 1979, 108]
+    for a, b in zip(blocked, stepwise):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def _without_triage(monkeypatch, x: np.ndarray):
