@@ -31,9 +31,9 @@ from .core import (
     ScoreVector,
     _check_number,
     _exp_stack,
+    _mirror_additive,
     _rank_rows,
     _skew,
-    _triu,
     strongly_transitive_from_scores,
     to_additive,
 )
@@ -183,8 +183,16 @@ def hadamard_trajectory(x: ComparisonMatrix, k_grid=None) -> list[TrajectoryPoin
 # -- noise models and the Monte Carlo disagreement study ----------------------
 
 
+class _Noise:
+    """A noise model's single draw, made as a stack of one by its _sampler."""
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        variates, shape = self._sampler(n)
+        return shape(variates(rng)[None])[0]
+
+
 @dataclass(frozen=True)
-class GaussianUpperTriangle:
+class GaussianUpperTriangle(_Noise):
     """I.i.d. Gaussian noise on the upper triangle, mirrored skew-symmetrically."""
 
     sd: float
@@ -192,20 +200,14 @@ class GaussianUpperTriangle:
     def __post_init__(self) -> None:
         _check_number("sd", self.sd, 0.0, strict=True)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        variates, shape = self._sampler(n)
-        return shape(variates(rng)[None])[0]
-
     def _sampler(self, n: int):
         """(variates, shape): one trial's random numbers from its generator,
         and the noise matrices of a stack of those."""
-        iu, ju = _triu(n)
-        return ((lambda rng: rng.normal(0.0, self.sd, size=(n, n))),
-                (lambda z: _skew(z[:, iu, ju], n)))
+        return (lambda rng: rng.normal(0.0, self.sd, size=(n, n))), _mirror_additive
 
 
 @dataclass(frozen=True)
-class UniformSTperp:
+class UniformSTperp(_Noise):
     """Uniform coefficients on a three-cycle basis of the cyclic subspace."""
 
     halfwidth: float
@@ -215,10 +217,6 @@ class UniformSTperp:
         if math.isinf(2.0 * self.halfwidth):   # the width of the uniform draw
             raise ValueError(f"halfwidth must be at most {np.finfo(float).max / 2:g}, so that "
                              f"the draw's width is finite; got {self.halfwidth:g}")
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        variates, shape = self._sampler(n)
-        return shape(variates(rng)[None])[0]
 
     def _sampler(self, n: int):
         """(variates, shape) as for GaussianUpperTriangle; the basis is built once."""

@@ -73,13 +73,9 @@ class ComparisonMatrix:
     scale: Scale
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
+        a = _square_finite(self.entries)
         if a.shape[0] < 2:
             raise InvalidMatrix("need at least two items")
-        if not np.all(np.isfinite(a)):
-            raise InvalidMatrix("entries must be finite")
         if self.scale is Scale.ADDITIVE:
             if np.any(np.diagonal(a) != 0.0):
                 raise InvalidMatrix("additive matrix needs a zero diagonal")
@@ -119,10 +115,21 @@ def _skew(coords: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
+def _square_finite(arr: Iterable) -> np.ndarray:
+    """A raw array as floats, once it is a square matrix with finite entries."""
+    a = np.asarray(arr, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidMatrix("entries must be finite")
+    return a
+
+
 def _mirror_additive(upper_source: np.ndarray) -> np.ndarray:
-    """Build an exactly skew-symmetric matrix from the upper triangle of a raw array."""
-    n = upper_source.shape[0]
-    return _skew(upper_source[_triu(n)], n)
+    """Exactly skew-symmetric matrices from the upper triangle of one raw matrix or a stack."""
+    n = upper_source.shape[-1]
+    iu, ju = _triu(n)
+    return _skew(upper_source[..., iu, ju], n)
 
 
 def _mirror_multiplicative(upper_source: np.ndarray) -> np.ndarray:
@@ -153,11 +160,7 @@ def additive_matrix(arr: Iterable, *, symmetry_tol: float = 1e-9) -> ComparisonM
     one); the pair is then replaced by its exact antisymmetrization.
     """
     _check_number("tolerance", symmetry_tol, 0.0)
-    a = np.asarray(arr, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("entries must be finite")
+    a = _square_finite(arr)
     if np.any(np.abs(np.diagonal(a)) > symmetry_tol):
         raise InvalidMatrix("diagonal of an additive matrix must be zero")
     scale_ref = np.maximum(1.0, np.maximum(np.abs(a), np.abs(a.T)))
@@ -185,11 +188,7 @@ def multiplicative_matrix(arr: Iterable, *, reciprocity_tol: float = 1e-9) -> Co
     pair while making the matrix exactly reciprocal.
     """
     _check_number("tolerance", reciprocity_tol, 0.0)
-    x = np.asarray(arr, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidMatrix("entries must be finite")
+    x = _square_finite(arr)
     if np.any(x <= 0.0):
         i, j = np.unravel_index(int(np.argmin(x)), x.shape)
         raise InvalidMatrix(f"entry ({i + 1}, {j + 1}) is not strictly positive")

@@ -7,8 +7,8 @@ the L2 projection onto each part, and, for n = 4, exact rational formulas
 for the tropical eigenvalue and eigenvector by region of the cycle space,
 together with a classifier that reduces any generic 4-by-4 matrix to one of
 two canonical regions by relabeling items.
-Region selection and the closed form are written once, batch-first; the
-scalar entry points pass a stack of one matrix.
+One batch-first solver, _regions4, decides the region of each matrix of a stack
+(the scalar entry points pass a stack of one); _cycle_split splits off R = A - P.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     _triu,
     pair_index,
     perm_inverse,
-    strongly_transitive_from_scores,
     upper_triangle,
 )
 from .errors import BoundaryCase, CheckFailed, InvalidMatrix, RegionNotFound, ReductionViolated
@@ -118,22 +117,31 @@ def f_basis4() -> tuple[CycleVector, CycleVector, CycleVector]:
 
 def f_products4(m: ComparisonMatrix) -> np.ndarray:
     """The pairings (<f1, A>, <f2, A>, <f3, A>) for a 4-by-4 additive matrix."""
-    if m.n != 4:
-        raise InvalidMatrix("f-products are defined for n=4")
-    u = upper_triangle(m).coords
-    return np.array([f.coords.coords @ u for f in f_basis4()])
+    return _regions4(_additive4(m), 0.0)[0][0]
 
 
 # -- projection and the eigenvector reduction ---------------------------------
+
+
+def _cycle_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, R) for a stack of additive matrices: P[i, j] = h_i - h_j and R = A - P,
+    with P's lower triangle its upper one negated, as strongly_transitive_from_scores
+    has it: a tie h_i = h_j leaves -0.0 there, not the +0.0 of h_j - h_i."""
+    iu, ju = _triu(a.shape[-1])
+    h = _hodge_rows(a)
+    p = h[:, :, None] - h[:, None, :]
+    p[:, ju, iu] = -p[:, iu, ju]
+    return p, a - p
 
 
 def project_components(m: ComparisonMatrix) -> tuple[ComparisonMatrix, ComparisonMatrix]:
     """Split A = P + R with P strongly transitive and R in the cycle space."""
     if m.scale is not Scale.ADDITIVE:
         raise InvalidMatrix("projection is defined on the additive scale")
-    p = strongly_transitive_from_scores(hodge_scores(m))
-    r = ComparisonMatrix(m.entries - p.entries, Scale.ADDITIVE)
-    return p, r
+    # parts that leave float range are refused by ComparisonMatrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, r = _cycle_split(m.entries[None])
+    return ComparisonMatrix(p[0], Scale.ADDITIVE), ComparisonMatrix(r[0], Scale.ADDITIVE)
 
 
 @dataclass(frozen=True)
@@ -278,43 +286,54 @@ _INEQS = np.array([r.inequalities + r.inequalities[-1:] * (5 - len(r.inequalitie
 _FORMULAS = np.array([r.coeff_num + (r.lam_num,) for r in _CANONICAL_REGIONS], dtype=float)
 
 
-def _select_regions(a: np.ndarray, margin: float):
-    """Region selection for a stack of 4-by-4 additive matrices.
+def _additive4(m: ComparisonMatrix) -> np.ndarray:
+    """m's entries as a stack of one, once m is known to be additive 4-by-4."""
+    if m.scale is not Scale.ADDITIVE:
+        raise InvalidMatrix("the n=4 geometry is stated on the additive scale")
+    if m.n != 4:
+        raise InvalidMatrix("the region catalog covers n=4 only")
+    return m.entries[None]
 
-    Returns (f, g, slack, clean, scale, transitive): the f-products, their
-    images g = M_tau @ f, the worst inequality value per (relabeling, region)
-    pair in relabeling-major order, the pairs that clear margin * scale, the
-    max-norm of the cycle part, and the numerically strongly transitive rows.
-    Raises InvalidMatrix when that arithmetic leaves float range.
-    """
+
+def _regions4(a: np.ndarray, margin: float):
+    """The region decision for a stack of 4-by-4 additive matrices.
+
+    Returns (f, g, pair, skipped, transitive, slack, scale): the f-products, their
+    images g = M_tau @ f, the first pair 2 * tau_idx + region_idx (relabeling-major)
+    whose worst inequality clears margin * scale, the rows with no such pair or
+    numerically strongly transitive, the latter, each pair's worst inequality
+    value, and the cycle part's max-norm.  Raises InvalidMatrix when that
+    arithmetic leaves float range."""
     _check_number("margin", margin, 0.0)   # a negative margin accepts the wrong side of a wall
-    # entries near the float maximum can overflow these sums; such input is refused below
+    # entries near the float maximum can overflow these sums; such input is refused below.
+    # Reductions are ufunc calls, which skip the array methods' Python wrappers.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _hodge_rows(a)
-        scale = np.abs(a - (h[:, :, None] - h[:, None, :])).max(axis=(1, 2))
+        scale = np.maximum.reduce(np.abs(_cycle_split(a)[1]), axis=(1, 2))
         # an elementwise sum, which rounds alike for every batch size
-        f = (a[:, _IU, _JU, None] * _FROWS.T).sum(axis=1)
+        f = np.add.reduce(a[:, _IU, _JU, None] * _FROWS.T, axis=1)
         g = np.einsum("tkl,bl->btk", _MSTACK, f)
-        slack = (g @ _INEQS.T).reshape(-1, 24, 2, 5).min(axis=3).reshape(-1, 48)
+        slack = np.minimum.reduce((g @ _INEQS.T).reshape(-1, 24, 2, 5), axis=3).reshape(-1, 48)
         clean = slack > (margin * scale)[:, None]   # an infinite threshold clears no wall
-    if not (np.isfinite(scale).all() and np.isfinite(g).all() and np.isfinite(slack).all()):
+    # each f-product enters some region-r1 inequality with either sign, so a
+    # non-finite g leaves a non-finite slack
+    if not (np.isfinite(scale).all() and np.isfinite(slack).all()):
         raise InvalidMatrix("region arithmetic leaves float range; rescale the additive matrix first")
-    transitive = scale <= _ST_REL_TOL * np.abs(a).max(axis=(1, 2))
-    return f, g, slack, clean, scale, transitive
+    transitive = scale <= _ST_REL_TOL * np.maximum.reduce(np.abs(a), axis=(1, 2))
+    skipped = transitive | ~np.logical_or.reduce(clean, axis=1)
+    return f, g, clean.argmax(axis=1), skipped, transitive, slack, scale
 
 
-def _match_one(selection, margin: float) -> tuple[int, int]:
-    """(relabeling index, region index) of a single matrix's _select_regions
-    result, or the BoundaryCase / RegionNotFound that classification raises."""
-    _, _, slack, clean, scale, transitive = selection
+def _row_match(regions, margin: float) -> tuple[int, int]:
+    """(tau_idx, region_idx) that _regions4 chose for a stack of one; raises if it skipped it."""
+    _, _, pair, skipped, transitive, slack, scale = regions
+    if not skipped[0]:
+        return divmod(int(pair[0]), 2)
     if transitive[0]:
         # numerically strongly transitive: every wall passes through the origin
         raise BoundaryCase(0.0)
-    if clean[0].any():
-        return divmod(int(clean[0].argmax()), 2)
-    best_near, scale = float(slack[0].max()), float(scale[0])
-    if best_near > -margin * scale:
-        raise BoundaryCase(best_near / scale)
+    best, scale = float(slack[0].max()), float(scale[0])
+    if best > -margin * scale:
+        raise BoundaryCase(best / scale)
     raise RegionNotFound(
         "no canonical region matched; the catalog should cover all generic matrices")
 
@@ -327,29 +346,25 @@ def classify_region4(m: ComparisonMatrix, margin: float = 1e-7) -> RegionMatch:
     cycle part; inputs within margin of a region wall raise BoundaryCase
     instead of picking a side.
     """
-    if m.scale is not Scale.ADDITIVE:
-        raise InvalidMatrix("classification is defined on the additive scale")
-    if m.n != 4:
-        raise InvalidMatrix("the region catalog covers n=4 only")
-    selection = _select_regions(m.entries[None], margin)
-    tau_idx, region_idx = _match_one(selection, margin)
-    f, g, *_ = selection
+    regions = _regions4(_additive4(m), margin)
+    tau_idx, region_idx = _row_match(regions, margin)
+    f, g, *_ = regions
     return RegionMatch(_CANONICAL_REGIONS[region_idx], _PERMS4[tau_idx], f[0], g[0, tau_idx])
 
 
-def _region_formulas(a: np.ndarray, g: np.ndarray, tau_idx: np.ndarray,
-                     region_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _region_formulas(a: np.ndarray, g: np.ndarray, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and sum-zero eigenvectors from the matched regions' formulas.
 
     Each matrix A is relabeled by its match's tau into Y, Region4's formulas
     are evaluated on Y, and the eigenvector is mapped back to A's labels.
     """
+    tau_idx, region_idx = np.divmod(pair, 2)
     rows = np.arange(a.shape[0])
     num = (_FORMULAS[region_idx] @ g[rows, tau_idx, :, None])[:, :, 0] / 12.0
 
     inv = _INV_IDX[tau_idx]
     vec = _hodge_rows(a[rows[:, None, None], inv[:, :, None], inv[:, None, :]]) + num[:, :4]
-    vec = (vec - vec.mean(axis=1, keepdims=True))[rows[:, None], _PERM_IDX[tau_idx]]
+    vec = (vec - np.add.reduce(vec, axis=1, keepdims=True) / 4.0)[rows[:, None], _PERM_IDX[tau_idx]]
     return num[:, 4], vec
 
 
@@ -362,12 +377,9 @@ def _closed_form_batch(a: np.ndarray, margin: float = 1e-7) -> tuple[np.ndarray,
     of its first clean (relabeling, region) pair.
     """
     a = np.asarray(a, dtype=float)
-    _, g, _, clean, _, transitive = _select_regions(a, margin)
-    skipped = ~clean.any(axis=1) | transitive
-    lam, vec = _region_formulas(a, g, *np.divmod(clean.argmax(axis=1), 2))
-    lam = np.where(skipped, np.nan, lam)
-    vec = np.where(skipped[:, None], np.nan, vec)
-    return lam, vec, skipped
+    _, g, pair, skipped, *_ = _regions4(a, margin)
+    lam, vec = _region_formulas(a, g, pair)
+    return np.where(skipped, np.nan, lam), np.where(skipped[:, None], np.nan, vec), skipped
 
 
 def tropical_closed_form4(m: ComparisonMatrix, margin: float = 1e-7) -> TropicalSolution:
@@ -377,21 +389,16 @@ def tropical_closed_form4(m: ComparisonMatrix, margin: float = 1e-7) -> Tropical
     eigenvalue 0 with eigenvector h(A), where the critical graph is complete.
     Otherwise the matrix is classified, the canonical region's rational
     formula evaluated, and the result mapped back through the relabeling.
-    One region selection serves the transitivity test, the match and the
-    formulas.
     """
-    if m.scale is not Scale.ADDITIVE:
-        raise InvalidMatrix("the closed form is stated on the additive scale")
-    if m.n != 4:
-        raise InvalidMatrix("the closed form covers n=4 only")
-    selection = _select_regions(m.entries[None], margin)
-    _, g, *_, transitive = selection
+    a = _additive4(m)
+    regions = _regions4(a, margin)
+    _, g, pair, _, transitive, *_ = regions
     if transitive[0]:
         edges = frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j)
         return TropicalSolution(0.0, hodge_scores(m), edges, 1)
 
-    tau_idx, region_idx = _match_one(selection, margin)
-    lam, vec = _region_formulas(m.entries[None], g, np.array([tau_idx]), np.array([region_idx]))
+    tau_idx, region_idx = _row_match(regions, margin)
+    lam, vec = _region_formulas(a, g, pair)
     inv = perm_inverse(_PERMS4[tau_idx])
     cycle = tuple(inv[v - 1] for v in _CANONICAL_REGIONS[region_idx].critical_cycle)
     edges = frozenset(zip(cycle, cycle[1:] + cycle[:1]))
@@ -420,19 +427,16 @@ def permutahedron_check4(m: ComparisonMatrix, tol: float = 1e-9) -> Permutahedro
     are attained, and every projection lies inside (checked by majorization).
     Raises CheckFailed if a vertex is missed or a projection falls outside.
     """
-    if m.scale is not Scale.ADDITIVE or m.n != 4:
-        raise InvalidMatrix("the projected-cube check is defined for 4-by-4 additive matrices")
+    _additive4(m)
+    _check_number("tol", tol, 0.0)
     h = hodge_scores(m).values
 
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=6)))
     projections = _hodge_rows(_skew(signs, 4))      # h(E) for each sign pattern
 
     vertex = np.array([3.0, 1.0, -1.0, -3.0]) / 4.0
-    attained = 0
-    for perm in itertools.permutations(range(4)):
-        target = vertex[list(perm)]
-        if np.min(np.max(np.abs(projections - target), axis=1)) <= tol:
-            attained += 1
+    targets = vertex[list(itertools.permutations(range(4)))]   # the 24 vertices
+    attained = int((np.abs(projections[:, None] - targets).max(axis=2).min(axis=0) <= tol).sum())
 
     # Majorization against the vertex profile decides membership in the hull.
     sorted_desc = -np.sort(-projections, axis=1)

@@ -71,8 +71,9 @@ def hodge_scores(m: ComparisonMatrix) -> ScoreVector:
 
 def _hodge_rows(a: np.ndarray) -> np.ndarray:
     """Sum-zero row means of each additive matrix in a stack: its hodge scores."""
-    h = a.sum(axis=2) / a.shape[2]
-    return h - h.mean(axis=1, keepdims=True)
+    # the reductions and division that mean() performs, without its Python-level overhead
+    h = np.add.reduce(a, axis=2) / a.shape[2]
+    return h - np.add.reduce(h, axis=1, keepdims=True) / h.shape[1]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .core import (
     relabel,
     strongly_transitive_from_scores,
     to_additive,
-    upper_triangle,
 )
 from .errors import (
     ConstructionFailed,
@@ -46,7 +45,7 @@ from .errors import (
     TieDetected,
     VerificationFailed,
 )
-from .geometry import cycle_vector, f_basis4, t_basis
+from .geometry import cycle_vector, f_basis4, project_components, t_basis
 from .methods import (
     hadamard_power,
     hadamard_product,
@@ -286,9 +285,7 @@ def base_hodge_zero_tropical_generic(n: int) -> ComparisonMatrix:
     fixed[(1, n)] = -values[-1]          # stored upper entry; A[n][1] = +values[-1]
     prime = _fill_rows_to_zero(n, fixed)
     # scrub rounding dust so the Hodge scores vanish to machine precision
-    prime = ComparisonMatrix(
-        prime.entries - strongly_transitive_from_scores(hodge_scores(prime)).entries,
-        Scale.ADDITIVE)
+    prime = project_components(prime)[1]
 
     bump = matrix_from_upper_triangle(cycle_vector(tuple(range(1, n + 1)), n).coords).entries
 

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairrank.core import (
     ComparisonMatrix,
@@ -172,6 +174,53 @@ def test_classify_equivariance_under_relabeling():
     assert match.tau == perm_inverse(sigma)
 
 
+def test_f_products_are_the_classifiers_f_original(rand_add):
+    f_rows = np.array([f.coords.coords for f in f_basis4()])
+    for i in range(50):
+        a = rand_add(np.random.default_rng(6100 + i), 4)
+        got = f_products4(a)
+        try:
+            match = classify_region4(a)
+        except BoundaryCase:
+            continue
+        assert got.tobytes() == match.f_original.tobytes()
+        np.testing.assert_allclose(got, f_rows @ upper_triangle(a).coords, rtol=0, atol=1e-12)
+
+
+def _seeded_stack() -> np.ndarray:
+    """Generic, strongly transitive and near-wall 4x4s, in a seeded order."""
+    rng = np.random.default_rng(21)
+    wall = from_f([6.0, 2.0, 1.0]).entries   # on the hexagon side of the facet split
+    rows = []
+    for i in range(120):
+        g = np.triu(rng.normal(size=(4, 4)), 1)
+        scores = strongly_transitive_from_scores(
+            ScoreVector(rng.normal(size=4), Scale.ADDITIVE)).entries
+        if i % 4 == 1:
+            rows.append(scores)
+        elif i % 4 == 2:
+            rows.append(wall * rng.uniform(0.5, 2.0) + 1e-10 * (g - g.T) + scores)
+        else:
+            rows.append(g - g.T)
+    return np.array(rows)
+
+
+def test_scalar_entry_points_are_batches_of_one():
+    stack = _seeded_stack()
+    lam, vec, skipped = _closed_form_batch(stack)
+    assert 0 < skipped.sum() < len(stack)
+    for row, a in enumerate(stack):
+        m = ComparisonMatrix(a, Scale.ADDITIVE)
+        if skipped[row]:
+            with pytest.raises(BoundaryCase):
+                classify_region4(m)
+            continue
+        classify_region4(m)
+        cf = tropical_closed_form4(m)
+        assert np.float64(cf.eigenvalue).tobytes() == lam[row].tobytes()
+        assert cf.eigenvector.values.tobytes() == vec[row].tobytes()
+
+
 def test_classify_requires_additive_4x4(rand_add):
     rng = np.random.default_rng(23)
     with pytest.raises(InvalidMatrix):
@@ -239,3 +288,73 @@ def test_permutahedron_projection_shapes(rand_add):
         assert rep.vertices_attained == 24
         assert rep.max_outside < 1e-9
         np.testing.assert_allclose(rep.shift, hodge_scores(a).values, atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_permutahedron_check_rejects_a_tolerance_below_zero_or_not_finite(tol):
+    # these once blamed the geometry ("0/24 vertices") or passed with one distinct projection
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        permutahedron_check4(from_f([5.0, 2.0, 1.0]), tol=tol)
+
+
+# -- rescaling and relabeling, across the float range ----------------------------
+
+# Entries are multiples of 1e-4 up to 100 in magnitude, so a power-of-two
+# rescaling down to 2**-900 stays clear of subnormal numbers and up to 2**900
+# clear of overflow: every rounding then scales exactly.
+_UPPER4 = st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6).map(
+    lambda ks: matrix_from_upper_triangle(np.array(ks) / 1e4, 4))
+
+
+def _outcome(m: ComparisonMatrix):
+    """(classification, closed form) of m; each is the BoundaryCase value where it raises one."""
+    try:
+        cf = tropical_closed_form4(m)
+    except BoundaryCase as exc:
+        cf = exc.margin
+    try:
+        match = classify_region4(m)
+    except BoundaryCase as exc:
+        return exc.margin, cf
+    return (match.region.name, match.tau, match.f_original), cf
+
+
+def _scaled_exactly(before, after, factor: float) -> bool:
+    """Whether after is before times factor, bit for bit; BoundaryCase values,
+    being relative to the cycle part's size, stay put."""
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    if isinstance(before, float):
+        return bits(after) == bits(before)
+    if isinstance(before, tuple):   # region name, tau, f-products
+        return after[:2] == before[:2] and bits(after[2]) == bits(before[2] * factor)
+    return (bits(after.eigenvalue) == bits(before.eigenvalue * factor)
+            and bits(after.eigenvector.values) == bits(before.eigenvector.values * factor))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(m=_UPPER4, j=st.integers(-900, 900))
+def test_power_of_two_rescaling_scales_the_closed_form_exactly(m, j):
+    factor = 2.0 ** j
+    before = _outcome(m)
+    after = _outcome(ComparisonMatrix(m.entries * factor, Scale.ADDITIVE))
+    for b, a in zip(before, after):
+        assert type(b) is type(a)
+        assert _scaled_exactly(b, a, factor)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(m=_UPPER4, sigma=st.permutations((1, 2, 3, 4)))
+def test_relabeling_keeps_the_region_and_moves_the_eigenvector(m, sigma):
+    try:
+        match = classify_region4(m)
+    except BoundaryCase:
+        return
+    moved_m = relabel(m, sigma)
+    assert classify_region4(moved_m).region == match.region
+    v = tropical_closed_form4(m).eigenvector.values
+    moved = np.empty(4)
+    moved[np.asarray(sigma) - 1] = v   # item sigma(i) takes the score of item i
+    np.testing.assert_allclose(tropical_closed_form4(moved_m).eigenvector.values, moved,
+                               rtol=0, atol=1e-12 * np.abs(m.entries).max())
