@@ -256,7 +256,7 @@ def _log_block(h: np.ndarray, xs: np.ndarray, shift: np.ndarray) -> None:
         np.exp(t, out=t)
         np.log(np.add.reduce(t, 2, out=w), out=w)
         np.logaddexp(np.add(p, w, out=w), shift + u, out=w)
-        w -= w.mean(axis=1, keepdims=True)
+        w -= np.add.reduce(w, 1, keepdims=True) / w.shape[1]
 
 
 def _log_perron_batch(log_x: np.ndarray, log_shift: np.ndarray, max_iter: int = 100000):
@@ -315,7 +315,7 @@ def _tropical_kernel(a: np.ndarray):
     crit.reshape(b, n * n)[:, ::n + 1] = False
     anchor = (crit.any(axis=2) | crit.any(axis=1)).argmax(axis=1)
     vec = star[np.arange(b), :, anchor]
-    return lam, vec - vec.mean(axis=1, keepdims=True), star, crit
+    return lam, vec - np.add.reduce(vec, 1, keepdims=True) / n, star, crit
 
 
 def tropical_eigenvalue(m: ComparisonMatrix) -> float:

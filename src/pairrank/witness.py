@@ -6,12 +6,24 @@ exactly that way: the first method of the pair ranks items by sigma1, the
 second by sigma2.  Each construction here returns the matrix together with a
 machine verification that recomputes both rankings from scratch through the
 methods module; that verification is every search's acceptance test.
+
+Every search walks its candidate ladder through one loop, _first_verified.
+The constructions that depend only on n (the zero-Hodge base, and the flat
+perturbed matrix with its principal ranking) are built once per n. The
+tropical-principal ladder screens its candidates: it solves their principal
+side _SCREEN_CHUNK at a time as one Perron stack, whose members each run as
+if alone, and sends to the verifier only those that stack certifies and ranks
+sigma2, so it accepts exactly the matrix a one-by-one search would. The
+hodge-principal ladder stays one candidate at a time, since a chunk of its
+powers reaches the slow, nearly cyclic large-k ones early.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +37,7 @@ from .core import (
     ScoreVector,
     _check_number,
     _mirror_multiplicative,
+    _rank_rows,
     _triu,
     matrix_from_upper_triangle,
     pair_index,
@@ -47,6 +60,7 @@ from .errors import (
 )
 from .geometry import cycle_vector, f_basis4, project_components, t_basis
 from .methods import (
+    _perron_batch,
     hadamard_power,
     hadamard_product,
     hodge_scores,
@@ -84,6 +98,8 @@ _LOG_ENTRY_CAP = 600.0
 # powers it keeps by their Perron root, so the nearly cyclic n = 5 and 6 powers
 # certify in a few hundred steps
 _VERIFY_MAX_ITER = 20000
+# how many tropical-principal candidates the screen solves as one Perron stack
+_SCREEN_CHUNK = 8
 
 
 class Pair(enum.Enum):
@@ -177,11 +193,34 @@ def _first_verified(req: WitnessRequest, candidates, exhausted: Exception) -> Wi
     """The first (matrix, parameters) candidate that _verify accepts, else raise exhausted.
 
     Uncertified Perron solves, ties and wrong rankings are passed over; other errors end it.
+    A tropical-principal search screens its candidates: only those whose principal side
+    _screened passes reach _verify, which still decides. The hodge-principal search does
+    not: its k = 1, 2, 1/2, 4, ... powers grow nearly cyclic fast, so a chunk would solve
+    slow large-k powers that a search one candidate at a time never reaches.
     """
+    if req.pair is Pair.TROPICAL_PRINCIPAL:
+        candidates = _screened(candidates, req.sigma2)
     for matrix, params in candidates:
         with contextlib.suppress(NoConvergence, TieDetected, VerificationFailed):
             return WitnessResult(matrix, req, _verify(matrix, req), params)
     raise exhausted
+
+
+def _screened(candidates, sigma2: Ranking):
+    """The candidates whose principal ranking is certified, tie-free and sigma2, in order.
+
+    Solves _SCREEN_CHUNK candidates at a time as one _perron_batch stack with the
+    verifier's budget. Every member of a stack runs as if alone, so a candidate passes
+    exactly when _verify's own principal solve would certify it and rank it sigma2.
+    """
+    wanted = np.array(sigma2.order) - 1
+    candidates = iter(candidates)
+    while chunk := list(itertools.islice(candidates, _SCREEN_CHUNK)):
+        _, v, _, _, certified = _perron_batch(np.stack([m.entries for m, _ in chunk]),
+                                              _VERIFY_MAX_ITER)
+        with np.errstate(divide="ignore", invalid="ignore"):   # uncertified rows
+            order, _, _, tied = _rank_rows(np.log(v))
+        yield from itertools.compress(chunk, certified & ~tied & (order == wanted).all(axis=1))
 
 
 def _descending_scores(sigma: Ranking) -> ScoreVector:
@@ -249,8 +288,15 @@ def base_hodge_zero_tropical_generic(n: int) -> ComparisonMatrix:
     maximum on its cycle edge, and that cycle critical; the remaining entries
     are the least-norm fill with zero row sums, plus a multiple of the
     cycle's indicator large enough to pin the row maxima.  All of this is
-    verified programmatically before returning.
+    verified programmatically before returning.  Built once per n and shared,
+    so its entries are read-only.
     """
+    return _hodge_zero_base(n)
+
+
+@functools.lru_cache(maxsize=64)
+def _hodge_zero_base(n: int) -> ComparisonMatrix:
+    """The base_hodge_zero_tropical_generic construction, built once per n."""
     if n < 4:
         raise ValueError("the base construction needs at least four items")
     if n == 4:
@@ -535,15 +581,7 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
     if req.sigma1 == req.sigma2:
         return _same_rankings(req, base)
 
-    for L in (Fraction(2), Fraction(3), Fraction(4)):
-        spec = default_perturbation(req.n, L)
-        x = perturbed_matrix(spec)
-        with contextlib.suppress(TieDetected):
-            flat_rank = rank_of(principal_scores(x).eigenvector)
-            break
-    else:
-        raise ConstructionFailed("perturbation", "no L gave a tie-free principal ranking")
-
+    spec, x, flat_rank = _flat_perturbation(req.n)
     anchored = relabel(x, perm_between(flat_rank, req.sigma2))
     with _float_range(base):
         m = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
@@ -558,6 +596,18 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
             yield y, WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base)
 
     return _first_verified(req, candidates(), KExhausted(2.0 ** -_MAX_HALVINGS))
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_perturbation(n: int) -> tuple[PerturbationSpec, ComparisonMatrix, Ranking]:
+    """(spec, matrix, principal ranking) of the first default perturbation, L = 2, 3, 4,
+    whose principal ranking is tie-free; built once per n."""
+    for L in (Fraction(2), Fraction(3), Fraction(4)):
+        spec = default_perturbation(n, L)
+        x = perturbed_matrix(spec)
+        with contextlib.suppress(TieDetected):
+            return spec, x, rank_of(principal_scores(x).eigenvector)
+    raise ConstructionFailed("perturbation", "no L gave a tie-free principal ranking")
 
 
 def generate_witness(req: WitnessRequest, base: float = math.e) -> WitnessResult:

@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import inspect
 import math
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from pairrank.core import (
 )
 from pairrank.errors import (
     ConstructionFailed,
+    InvalidMatrix,
     InvalidPerturbation,
     KExhausted,
     NoConvergence,
@@ -124,6 +127,28 @@ def test_base_matrix_deterministic():
     a1 = base_hodge_zero_tropical_generic(5)
     a2 = base_hodge_zero_tropical_generic(5)
     np.testing.assert_array_equal(a1.entries, a2.entries)
+
+
+def test_n_only_constructions_are_built_once_and_shared_read_only():
+    base = base_hodge_zero_tropical_generic(5)
+    flat = witness._flat_perturbation(5)
+    assert base_hodge_zero_tropical_generic(5) is base
+    assert witness._flat_perturbation(5) is flat
+    for entries in (base.entries, flat[1].entries):
+        with pytest.raises(ValueError):
+            entries[0, 1] = 0.0
+    # the public builder stays a plain function, which the bench tracer wraps
+    assert inspect.isfunction(witness.base_hodge_zero_tropical_generic)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_n_only_constructions_match_an_uncached_build(n):
+    fresh = witness._hodge_zero_base.__wrapped__(n)
+    assert base_hodge_zero_tropical_generic(n).entries.tobytes() == fresh.entries.tobytes()
+    spec, flat, flat_rank = witness._flat_perturbation(n)
+    fresh_spec, fresh_flat, fresh_rank = witness._flat_perturbation.__wrapped__(n)
+    assert (spec, flat_rank) == (fresh_spec, fresh_rank)
+    assert flat.entries.tobytes() == fresh_flat.entries.tobytes()
 
 
 # -- hodge vs tropical ---------------------------------------------------------
@@ -361,6 +386,40 @@ def test_tropical_principal_random_requests(n):
         res = witness_tropical_principal(req)
         assert res.verification.ranking1 == req.sigma1
         assert res.verification.ranking2 == req.sigma2
+
+
+def _one_by_one(req, candidates, exhausted):
+    """The search without a screen: _verify on every candidate in turn."""
+    for matrix, params in candidates:
+        with contextlib.suppress(NoConvergence, TieDetected, VerificationFailed):
+            return witness.WitnessResult(matrix, req, witness._verify(matrix, req), params)
+    raise exhausted
+
+
+def _outcome(req, base):
+    """Matrix bytes, parameters and verification scores, or the error that ended it."""
+    try:
+        res = witness_tropical_principal(req, base=base)
+    except InvalidMatrix as exc:
+        return str(exc)
+    v = res.verification
+    return (res.matrix.entries.tobytes(), res.parameters, v.scores1.values.tobytes(),
+            v.scores2.values.tobytes(), v.ranking1, v.ranking2)
+
+
+def test_tropical_principal_screen_accepts_what_a_one_by_one_search_does(monkeypatch):
+    rng = np.random.default_rng(23)
+    requests = [(WitnessRequest(n, Pair.TROPICAL_PRINCIPAL,
+                                random_ranking(rng, n), random_ranking(rng, n)), base)
+                for n in (4, 5, 6, 7) for base in (math.e, 10.0, 1e20, 1e76)
+                for _ in range(2)]
+    requests.append((WitnessRequest(5, Pair.TROPICAL_PRINCIPAL, Ranking((1, 2, 3, 4, 5)),
+                                    Ranking((5, 4, 3, 2, 1))), 1e78))
+    screened = [_outcome(req, base) for req, base in requests]
+    monkeypatch.setattr(witness, "_first_verified", _one_by_one)
+    assert [_outcome(req, base) for req, base in requests] == screened
+    assert screened[-1] == "base 1e+78 takes the witness entries out of float range"
+    assert sum(isinstance(out, tuple) for out in screened) > len(requests) // 2
 
 
 # -- dispatcher ----------------------------------------------------------------
