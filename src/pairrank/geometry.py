@@ -125,12 +125,12 @@ def f_products4(m: ComparisonMatrix) -> np.ndarray:
 
 def _cycle_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, R) for a stack of additive matrices: P[i, j] = h_i - h_j and R = A - P,
-    with P's lower triangle its upper one negated, as strongly_transitive_from_scores
-    has it: a tie h_i = h_j leaves -0.0 there, not the +0.0 of h_j - h_i."""
-    iu, ju = _triu(a.shape[-1])
+    with P built as strongly_transitive_from_scores builds it: its lower triangle is
+    the upper one negated, so a tie h_i = h_j leaves -0.0 there, not the +0.0 of h_j - h_i."""
+    n = a.shape[-1]
+    iu, ju = _triu(n)
     h = _hodge_rows(a)
-    p = h[:, :, None] - h[:, None, :]
-    p[:, ju, iu] = -p[:, iu, ju]
+    p = _skew(h[:, iu] - h[:, ju], n)
     return p, a - p
 
 

@@ -26,6 +26,8 @@
   the critical-cycle structure that controls its uniqueness. Critical vertices
   i, j share a class when B*[i][j] + B*[j][i] = 0. One batch-first kernel
   serves every tropical entry point; the scalar ones pass a stack of one.
+  tropical_solve builds the structure on every solve and returns a plain
+  TropicalSolution, the type the 4-by-4 closed form in geometry returns too.
 """
 
 from __future__ import annotations
@@ -296,7 +298,8 @@ def _karp_batch(a: np.ndarray) -> np.ndarray:
     return quotients.min(axis=1).max(axis=1)
 
 
-# Absolute slack of the critical-edge and critical-class tests, on the additive scale.
+# Absolute slack, on the additive scale, of the critical-edge test (_tropical_kernel)
+# and the critical-class test (tropical_solve).
 _EDGE_TOL = 1e-9
 
 
@@ -352,39 +355,21 @@ def tropical_solve(m: ComparisonMatrix) -> TropicalSolution:
     B[i][j] + B*[j][i] vanishes (within _EDGE_TOL). Critical vertices i and j
     share a class exactly when B*[i][j] + B*[j][i] vanishes (Butkovic,
     Max-linear Systems, ch. 4), and the eigenvector is unique up to an
-    additive constant exactly when there is a single class. The returned
-    eigenvector is the B* column at the smallest critical vertex, sum-zero
-    normalized. Vertices and edges are reported 1-based.
+    additive constant exactly when there is a single class; each class is
+    named by its smallest critical vertex. The returned eigenvector is the B*
+    column at the smallest critical vertex, sum-zero normalized. Edges and
+    classes are built on every solve; vertices and edges are reported 1-based.
     """
     lam, vec, star, crit = _tropical_kernel(to_additive(m).entries[None])
+    star, crit = star[0], crit[0]
     if not crit.any():  # rounding at large scales can leave no edge within _EDGE_TOL
         raise InvalidMatrix("no critical cycle found; eigenvalue shift is inconsistent")
-    vec = ScoreVector(vec[0], Scale.ADDITIVE)
-    return _LazyTropicalSolution(float(lam[0]), vec, star[0], crit[0])
-
-
-class _LazyTropicalSolution(TropicalSolution):
-    """A tropical_solve result that builds its critical structure on first read.
-
-    The three-item acceptance sweep (10,000 solves) and the candidate checks
-    of the witness searches read only the eigenvector, and the structure
-    costs a fifth of a 4-by-4 solve.
-    """
-
-    def __init__(self, eigenvalue, eigenvector, star, crit):
-        vars(self).update(eigenvalue=eigenvalue, eigenvector=eigenvector, _pending=(star, crit))
-
-    def __getattr__(self, name):
-        if name not in ("critical_edges", "critical_class_count"):
-            raise AttributeError(name)
-        star, crit = self._pending
-        on = crit.any(axis=1) | crit.any(axis=0)
-        # each class is named by its smallest critical vertex
-        classes = len(set(((star + star.T >= -_EDGE_TOL) & on).argmax(axis=1)[on].tolist()))
-        i, j = np.nonzero(crit)
-        vars(self).update(critical_edges=frozenset(zip((i + 1).tolist(), (j + 1).tolist())),
-                          critical_class_count=classes)
-        return vars(self)[name]
+    on = crit.any(axis=1) | crit.any(axis=0)
+    # each class is named by its smallest critical vertex
+    classes = len(set(((star + star.T >= -_EDGE_TOL) & on).argmax(axis=1)[on].tolist()))
+    i, j = np.nonzero(crit)
+    edges = frozenset(zip((i + 1).tolist(), (j + 1).tolist()))
+    return TropicalSolution(float(lam[0]), ScoreVector(vec[0], Scale.ADDITIVE), edges, classes)
 
 
 def tropical_scores_multiplicative(x: ComparisonMatrix, base: float = math.e) -> ScoreVector:

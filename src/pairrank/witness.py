@@ -8,14 +8,15 @@ machine verification that recomputes both rankings from scratch through the
 methods module; that verification is every search's acceptance test.
 
 Every search walks its candidate ladder through one loop, _first_verified.
-The constructions that depend only on n (the zero-Hodge base, and the flat
-perturbed matrix with its principal ranking) are built once per n. The
-tropical-principal ladder screens its candidates: it solves their principal
-side _SCREEN_CHUNK at a time as one Perron stack, whose members each run as
-if alone, and sends to the verifier only those that stack certifies and ranks
-sigma2, so it accepts exactly the matrix a one-by-one search would. The
-hodge-principal ladder stays one candidate at a time, since a chunk of its
-powers reaches the slow, nearly cyclic large-k ones early.
+The constructions that depend only on n (the zero-Hodge base with its tropical
+ranking, and the flat perturbed matrix with its principal ranking) are built
+once per n. The tropical-principal ladder screens its candidates: it solves
+their principal side _SCREEN_CHUNK at a time as one Perron stack, whose
+members each run as if alone, and sends to the verifier only those that
+stack certifies and ranks sigma2, so it accepts exactly the matrix a
+one-by-one search would. The hodge-principal ladder stays one candidate at a
+time, since a chunk of its powers reaches the slow, nearly cyclic large-k
+ones early.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .geometry import cycle_vector, f_basis4, project_components, t_basis
 from .methods import (
     _perron_batch,
     hadamard_power,
-    hadamard_product,
     hodge_scores,
     principal_scores,
     tropical_solve,
@@ -363,7 +363,13 @@ def _hodge_zero_base(n: int) -> ComparisonMatrix:
 def _relabeled_base(req: WitnessRequest) -> ComparisonMatrix:
     """The shared base, relabeled so that its tropical ranking is sigma2."""
     base = base_hodge_zero_tropical_generic(req.n)
-    return relabel(base, perm_between(rank_of(tropical_solve(base).eigenvector), req.sigma2))
+    return relabel(base, perm_between(_base_ranking(req.n), req.sigma2))
+
+
+@functools.lru_cache(maxsize=64)
+def _base_ranking(n: int) -> Ranking:
+    """The tropical ranking of the shared base, solved once per n."""
+    return rank_of(tropical_solve(_hodge_zero_base(n)).eigenvector)
 
 
 def _epsilon_search(req: WitnessRequest, relabeled: ComparisonMatrix, eps: float) -> WitnessResult:
@@ -590,7 +596,8 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
         for k in (2.0 ** -i for i in range(_MAX_HALVINGS)):
             try:
                 with np.errstate(over="ignore", divide="ignore"):
-                    y = hadamard_product(anchored, hadamard_power(m, k))
+                    upper = anchored.entries * np.power(m.entries, k)   # anchored o m^(k)
+                    y = ComparisonMatrix(_mirror_multiplicative(upper), Scale.MULTIPLICATIVE)
             except InvalidMatrix:   # out of float range; halving k shrinks the entries
                 continue
             yield y, WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from pairrank.errors import InvalidMatrix, NoConvergence, TieDetected
 from pairrank import methods
 from pairrank.analysis import GaussianUpperTriangle, hadamard_trajectory
 from pairrank.methods import (
+    TropicalSolution,
     _log_perron_batch,
     _perron_batch,
     _tropical_kernel,
@@ -473,6 +475,75 @@ def test_tropical_two_critical_classes():
     assert sol.critical_vertices == frozenset(range(1, 7))
     assert sol.critical_class_count == 2
     assert not sol.unique
+
+
+def test_tropical_solve_returns_a_plain_solution(disagree_matrix):
+    sol = tropical_solve(to_additive(disagree_matrix))
+    assert type(sol) is TropicalSolution
+    assert dataclasses.replace(sol, eigenvalue=0.0).eigenvalue == 0.0
+    assert repr(sol).startswith("TropicalSolution(")
+
+
+def _critical_oracle(a: list) -> tuple[frozenset, int]:
+    """(critical edges, strongly connected components among them) of an integer matrix.
+
+    Enumerates every directed simple cycle; a cycle is critical when its mean weight,
+    compared by cross-multiplication in integers, is the maximum.
+    """
+    n = len(a)
+    best, edges = (-1, 0), set()   # (weight, length) of the best mean so far
+    for size in range(2, n + 1):
+        for nodes in itertools.combinations(range(n), size):
+            for rest in itertools.permutations(nodes[1:]):
+                cyc = (nodes[0],) + rest
+                hops = list(zip(cyc, cyc[1:] + cyc[:1]))
+                w = sum(a[i][j] for i, j in hops)
+                if w * best[1] > best[0] * size:
+                    best, edges = (w, size), set()
+                if w * best[1] == best[0] * size:
+                    edges.update((i + 1, j + 1) for i, j in hops)
+    reach = {(i, i) for i, _ in edges} | edges
+    for k, i, j in itertools.product(range(1, n + 1), repeat=3):
+        if (i, k) in reach and (k, j) in reach:
+            reach.add((i, j))
+    vertices = {i for i, _ in edges}
+    classes = {frozenset(j for j in vertices if (i, j) in reach and (j, i) in reach)
+               for i in vertices}
+    return frozenset(edges), len(classes)
+
+
+def _integer_skew(rng: np.random.Generator, n: int, blocks: bool) -> np.ndarray:
+    """A relabeled skew matrix with entries in -3..3; small entries tie often.
+
+    With blocks, items split into two groups of at least three, each carrying a
+    cycle of 3s, and every edge from the first group into the second weighs -3:
+    no cycle through both groups reaches mean 3, so there are two critical classes.
+    """
+    g = np.triu(rng.integers(-3, 4, size=(n, n)), 1)
+    if blocks:
+        h = int(rng.integers(3, n - 2))
+        g[:h, h:] = -3
+        for lo, hi in ((0, h), (h, n)):
+            g[np.arange(lo, hi - 1), np.arange(lo + 1, hi)] = 3
+            g[lo, hi - 1] = -3
+    p = rng.permutation(n)
+    return (g - g.T)[np.ix_(p, p)]
+
+
+def test_tropical_critical_structure_matches_cycle_enumeration():
+    rng = np.random.default_rng(23)
+    counts = []
+    for n, blocks, trials in ((3, False, 40), (4, False, 40), (5, False, 40), (6, False, 40),
+                              (7, False, 20), (6, True, 20), (7, True, 10)):
+        for _ in range(trials):
+            a = _integer_skew(rng, n, blocks)
+            sol = tropical_solve(ComparisonMatrix(a.astype(float), Scale.ADDITIVE))
+            edges, classes = _critical_oracle(a.tolist())
+            assert sol.critical_edges == edges
+            assert sol.critical_class_count == classes
+            assert sol.unique == (classes == 1)
+            counts.append(classes)
+    assert set(counts) == {1, 2}
 
 
 def test_tropical_constant_on_transitive_matrix():
