@@ -200,7 +200,10 @@ def multiplicative_matrix(arr: Iterable, *, reciprocity_tol: float = 1e-9) -> Co
         raise InvalidMatrix(
             f"reciprocity defect {defect[i, j]:.3e} at entry ({i + 1}, {j + 1}) "
             f"exceeds tolerance {reciprocity_tol:g}")
-    return ComparisonMatrix(_mirror_multiplicative(np.sqrt(x / x.T)), Scale.MULTIPLICATIVE)
+    with np.errstate(over="ignore"):   # a pair far from one over- or underflows the ratio
+        root = np.sqrt(x / x.T)
+    root = np.where(np.isfinite(root) & (root > 0.0), root, np.sqrt(x) / np.sqrt(x.T))
+    return ComparisonMatrix(_mirror_multiplicative(root), Scale.MULTIPLICATIVE)
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,17 @@ second by sigma2.  Each construction here returns the matrix together with a
 machine verification that recomputes both rankings from scratch through the
 methods module; that verification is every search's acceptance test.
 
-Every search walks its candidate ladder through one loop, _first_verified.
-The constructions that depend only on n (the zero-Hodge base with its tropical
-ranking, and the flat perturbed matrix with its principal ranking) are built
-once per n. The tropical-principal ladder screens its candidates: it solves
-their principal side _SCREEN_CHUNK at a time as one Perron stack, whose
-members each run as if alone, and sends to the verifier only those that
-stack certifies and ranks sigma2, so it accepts exactly the matrix a
-one-by-one search would. The hodge-principal ladder stays one candidate at a
-time, since a chunk of its powers reaches the slow, nearly cyclic large-k
-ones early.
+Every search walks its candidate ladder through one loop, _first_verified; the
+multiplicative ones build each power from its log matrix (_powers), so a base
+whose k = 1 matrix overflows still reaches smaller k. The constructions that
+depend only on n (the zero-Hodge base with its tropical ranking, and the flat
+perturbed matrix with its principal ranking) are built once per n. The
+tropical-principal ladder screens its candidates: it solves their principal
+side _SCREEN_CHUNK at a time as one Perron stack, whose members each run as if
+alone, and verifies only those that stack certifies and ranks sigma2, so it
+accepts exactly the matrix a one-by-one search would. The hodge-principal
+ladder stays one candidate at a time: a chunk of its powers reaches the slow,
+nearly cyclic large-k ones early.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .errors import (
 from .geometry import cycle_vector, f_basis4, project_components, t_basis
 from .methods import (
     _perron_batch,
-    hadamard_power,
     hodge_scores,
     principal_scores,
     tropical_solve,
@@ -89,7 +89,7 @@ __all__ = [
 
 _MAX_HALVINGS = 60
 _MAX_DOUBLINGS = 60
-# largest log-entry magnitude we are willing to materialize as a float matrix;
+# largest log-entry magnitude of a hodge-principal power that _powers builds;
 # e^600 still leaves power iteration on the result two hundred orders of
 # magnitude of headroom
 _LOG_ENTRY_CAP = 600.0
@@ -223,34 +223,32 @@ def _screened(candidates, sigma2: Ranking):
         yield from itertools.compress(chunk, certified & ~tied & (order == wanted).all(axis=1))
 
 
-def _descending_scores(sigma: Ranking) -> ScoreVector:
-    """Tie-free additive scores whose ranking is sigma, centered to sum zero."""
+def _transitive(sigma: Ranking) -> ComparisonMatrix:
+    """The additive strongly transitive matrix of tie-free, sum-zero scores ranking sigma."""
     values = np.empty(sigma.n)
     for pos, item in enumerate(sigma.order):
         values[item - 1] = float(sigma.n - 1 - pos)
-    return ScoreVector(values - values.mean(), Scale.ADDITIVE)
+    return strongly_transitive_from_scores(ScoreVector(values - values.mean(), Scale.ADDITIVE))
 
 
-@contextlib.contextmanager
-def _float_range(base: float):
-    """Report witness entries that leave float range as InvalidMatrix naming the base."""
-    try:
-        with np.errstate(over="ignore", divide="ignore"):
-            yield
-    except InvalidMatrix:
-        raise InvalidMatrix(f"base {base:g} takes the witness entries out of float range") from None
+def _powers(log_x: np.ndarray, ks, anchor: np.ndarray | float = 1.0):
+    """(k, anchor o exp(k * log_x)) for each k in ks whose matrix stays in float range."""
+    for k in ks:
+        with contextlib.suppress(InvalidMatrix):   # an entry overflowed, or underflowed to 0
+            with np.errstate(over="ignore", divide="ignore"):   # only here, not across the yield
+                y = ComparisonMatrix(_mirror_multiplicative(anchor * np.exp(k * log_x)),
+                                     Scale.MULTIPLICATIVE)
+            yield k, y
 
 
 def _same_rankings(req: WitnessRequest, base: float | None) -> WitnessResult:
     """The witness for sigma1 == sigma2: sigma1's transitive matrix, additive if base is None."""
-    scores = _descending_scores(req.sigma1)
+    m = _transitive(req.sigma1)
     if base is None:
-        m, params = strongly_transitive_from_scores(scores), WitnessParameters(epsilon=0.0)
-    else:
-        with _float_range(base):
-            m = strongly_transitive_from_scores(scores.as_multiplicative(base))
-        params = WitnessParameters(k=1.0, base=base)
-    return WitnessResult(m, req, _verify(m, req), params)
+        return WitnessResult(m, req, _verify(m, req), WitnessParameters(epsilon=0.0))
+    for _, y in _powers(m.entries * math.log(base), (1.0,)):   # none if it leaves float range
+        return WitnessResult(y, req, _verify(y, req), WitnessParameters(k=1.0, base=base))
+    raise InvalidMatrix(f"base {base:g} takes the witness entries out of float range")
 
 
 # -- the shared base matrix (zero Hodge scores, tie-free tropical) -------------
@@ -346,7 +344,10 @@ def _hodge_zero_base(n: int) -> ComparisonMatrix:
             np.sum(a.entries[i - 1] >= row_max[i - 1] - 1e-9) == 1
             for i in range(1, n + 1))
         if maxima_ok and np.min(np.abs(np.asarray(on_cycle) - mu)) > 1e-9:
-            sol = tropical_solve(a)
+            try:
+                sol = tropical_solve(a)
+            except InvalidMatrix as exc:   # a is valid; the solver's rounding refused it
+                raise ConstructionFailed("row-max", f"n={n}: {exc}") from None
             if abs(sol.eigenvalue - mu) <= 1e-9 and sol.unique:
                 with contextlib.suppress(TieDetected):
                     rank_of(sol.eigenvector)
@@ -374,7 +375,7 @@ def _base_ranking(n: int) -> Ranking:
 
 def _epsilon_search(req: WitnessRequest, relabeled: ComparisonMatrix, eps: float) -> WitnessResult:
     """First relabeled + eps * W, halving eps from the given start, that verifies."""
-    w = strongly_transitive_from_scores(_descending_scores(req.sigma1)).entries
+    w = _transitive(req.sigma1).entries
     epsilons = (eps / 2.0 ** i for i in range(_MAX_HALVINGS))
     return _first_verified(
         req, ((ComparisonMatrix(relabeled.entries + e * w, Scale.ADDITIVE),
@@ -405,11 +406,11 @@ def witness_hodge_tropical(req: WitnessRequest) -> WitnessResult:
 def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> WitnessResult:
     """Multiplicative witness: Hodge ranks sigma1, the principal eigenvector sigma2.
 
-    Exponentiates a Hodge-vs-tropical witness and doubles the Hadamard
-    power k until the principal ranking matches the tropical one (sigma2);
-    the Hodge ranking is invariant in k.  A power is skipped when its log
-    entries pass _LOG_ENTRY_CAP; the first of the others that the verifier
-    accepts is the witness.
+    Builds each candidate base^(k A) from the log entries k * A * ln(base) of a
+    Hodge-vs-tropical witness A, growing k until the principal ranking matches
+    the tropical one (sigma2); the Hodge ranking is invariant in k.  A power is
+    skipped when its log entries pass _LOG_ENTRY_CAP; the first of the others
+    that the verifier accepts is the witness.
     """
     if req.pair is not Pair.HODGE_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
@@ -425,19 +426,16 @@ def witness_hodge_principal(req: WitnessRequest, base: float = math.e) -> Witnes
     # the range where power iteration still converges
     with contextlib.suppress(ConstructionFailed):
         inner = _epsilon_search(inner_req, relabeled, inner.parameters.epsilon / 8.0)
-    log_entries = inner.matrix.entries * math.log(base)
-    max_log = float(np.max(np.abs(log_entries)))
-    with _float_range(base):   # an entry that underflows to 0 mirrors to inf
-        x = ComparisonMatrix(_mirror_multiplicative(np.exp(log_entries)), Scale.MULTIPLICATIVE)
+    log_x = inner.matrix.entries * math.log(base)
+    max_log = float(np.max(np.abs(log_x)))
 
     # k = 1, 2, 1/2, 4, 1/4, ...: grow toward the tropical limit, but also
     # try powers below 1, since large powers make the matrix nearly cyclic and
     # stall the iteration while the ranking often crosses over well below 1
     ks = (2.0 ** ((e + 1) // 2 if e % 2 else -(e // 2)) for e in range(2 * _MAX_DOUBLINGS + 1))
-    eps = inner.parameters.epsilon
     return _first_verified(
-        req, ((hadamard_power(x, k), WitnessParameters(k=k, epsilon=eps, base=base))
-              for k in ks if k * max_log <= _LOG_ENTRY_CAP),
+        req, ((y, WitnessParameters(k=k, epsilon=inner.parameters.epsilon, base=base))
+              for k, y in _powers(log_x, (k for k in ks if k * max_log <= _LOG_ENTRY_CAP))),
         KExhausted(2.0 ** _MAX_DOUBLINGS))
 
 
@@ -576,10 +574,10 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
 
     The perturbed matrix has a constant tropical eigenvector and a tie-free
     principal ranking; relabel it so the principal ranking is sigma2, then
-    multiply entrywise by the k-th Hadamard power of a transitive matrix
-    whose scores induce sigma1.  The transitive factor moves the tropical
-    eigenvector by exactly k times its scores (so the tropical ranking is
-    sigma1 for every k > 0), and halving k restores the principal ranking.
+    multiply entrywise by base^(k W), built from its logs, for W the additive
+    transitive matrix of sigma1's scores.  That moves the tropical eigenvector
+    by exactly k times the scores (so the tropical ranking is sigma1 for every
+    k > 0), and halving k restores the principal ranking.
     """
     if req.pair is not Pair.TROPICAL_PRINCIPAL:
         raise ValueError(f"wrong constructor for pair {req.pair.value}")
@@ -589,20 +587,12 @@ def witness_tropical_principal(req: WitnessRequest, base: float = math.e) -> Wit
 
     spec, x, flat_rank = _flat_perturbation(req.n)
     anchored = relabel(x, perm_between(flat_rank, req.sigma2))
-    with _float_range(base):
-        m = strongly_transitive_from_scores(_descending_scores(req.sigma1).as_multiplicative(base))
-
-    def candidates():
-        for k in (2.0 ** -i for i in range(_MAX_HALVINGS)):
-            try:
-                with np.errstate(over="ignore", divide="ignore"):
-                    upper = anchored.entries * np.power(m.entries, k)   # anchored o m^(k)
-                    y = ComparisonMatrix(_mirror_multiplicative(upper), Scale.MULTIPLICATIVE)
-            except InvalidMatrix:   # out of float range; halving k shrinks the entries
-                continue
-            yield y, WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base)
-
-    return _first_verified(req, candidates(), KExhausted(2.0 ** -_MAX_HALVINGS))
+    log_m = _transitive(req.sigma1).entries * math.log(base)
+    ks = (2.0 ** -i for i in range(_MAX_HALVINGS))   # halving k shrinks the entries
+    return _first_verified(
+        req, ((y, WitnessParameters(k=k, L=spec.L, delta=spec.delta, base=base))
+              for k, y in _powers(log_m, ks, anchored.entries)),
+        KExhausted(2.0 ** -_MAX_HALVINGS))
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from pairrank.core import ComparisonMatrix, Scale, load_matrix
+from pairrank.core import ComparisonMatrix, Ranking, Scale, load_matrix
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -28,3 +28,21 @@ def rand_add():
         return ComparisonMatrix(g - g.T, Scale.ADDITIVE)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def perron_ranking():
+    """The ranking by the Perron vector of a positive matrix, from a 50-digit mpmath eig.
+
+    Independent of the package's solvers; every float entry converts exactly.
+    """
+    mpmath = pytest.importorskip("mpmath")
+
+    def rank(x: np.ndarray) -> Ranking:
+        n = x.shape[0]
+        with mpmath.workdps(50):
+            values, vectors = mpmath.eig(mpmath.matrix(x.tolist()))
+            top = max(range(n), key=lambda i: mpmath.re(values[i]))
+            return Ranking(tuple(sorted(range(1, n + 1), key=lambda i: -abs(vectors[i - 1, top]))))
+
+    return rank

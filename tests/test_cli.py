@@ -262,20 +262,55 @@ def test_matrix_commands_reject_base_not_above_one(capsys, disagree_csv, command
 
 
 def test_witness_base_overflowing_entries_is_a_typed_error(capsys, tmp_path):
-    # the scores base^s overflow at 1e300; at 1e200 their ratios do, and the
-    # sigma1 == sigma2 shortcut builds the same ratio matrix as tropical-principal
-    for pair, sigma2, base in (("hodge-principal", "4>3>2>1", "1e300"),
-                               ("hodge-principal", "1>2>3>4", "1e300"),
-                               ("tropical-principal", "4>3>2>1", "1e300"),
-                               ("tropical-principal", "4>3>2>1", "1e200")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "witness", "--pair", pair, "--n", "4",
-                                 "--sigma1", "1>2>3>4", "--sigma2", sigma2,
-                                 "--base", base, "--out", str(tmp_path / "w.csv"))
-        assert code == 1, (pair, sigma2, base)
-        assert out == ""
-        assert err == f"error: base {float(base):g} takes the witness entries out of float range\n"
+    # the sigma1 == sigma2 shortcut builds sigma1's transitive matrix at k = 1 only,
+    # and at base 1e300 its entries base^3 leave float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "witness", "--pair", "hodge-principal", "--n", "4",
+                             "--sigma1", "1>2>3>4", "--sigma2", "1>2>3>4",
+                             "--base", "1e300", "--out", str(tmp_path / "w.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: base 1e+300 takes the witness entries out of float range\n"
+
+
+@pytest.mark.parametrize("pair,base", [("hodge-principal", "1e300"),
+                                       ("tropical-principal", "1e300"),
+                                       ("tropical-principal", "1e200")])
+def test_witness_base_past_float_range_at_k_one_searches_smaller_k(capsys, tmp_path,
+                                                                   perron_ranking, pair, base):
+    # the k = 1 matrix overflows, but every power is built from the log matrix,
+    # so the search reaches the small k whose entries fit
+    out_csv = tmp_path / "w.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "witness", "--pair", pair, "--n", "4",
+                             "--sigma1", "1>2>3>4", "--sigma2", "4>3>2>1",
+                             "--base", base, "--out", str(out_csv))
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "rank", str(out_csv))
+    assert (code, err) == (0, "")
+    first, second = pair.split("-")
+    rankings = json.loads(out)["rankings"]
+    assert (rankings[first], rankings[second]) == ("1>2>3>4", "4>3>2>1")
+    assert perron_ranking(load_matrix(out_csv).entries) == Ranking((4, 3, 2, 1))
+
+
+def test_witness_with_entries_past_1e154_reloads(capsys, tmp_path):
+    # the pair ratio X[i, j] / X[j, i] of a 1e228 entry overflows; the reload
+    # takes the square roots first there
+    out_csv = tmp_path / "w.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, "witness", "--pair", "tropical-principal", "--n", "4",
+                         "--sigma1", "2>3>4>1", "--sigma2", "2>3>4>1",
+                         "--base", "1e76", "--out", str(out_csv))
+        assert code == 0
+        code, out, err = run(capsys, "rank", str(out_csv))
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)["rankings"].values()) == {"2>3>4>1"}
+        code, _, err = run(capsys, "trajectory", str(out_csv), "--k-max", "1", "--points", "3")
+    assert (code, err) == (0, "")
 
 
 def test_witness_tropical_principal_halves_k_past_overflowing_candidates(capsys, tmp_path):

@@ -12,6 +12,8 @@ from pairrank.core import (
     Scale,
     ScoreVector,
     rank_of,
+    relabel,
+    relabel_ranking,
     strongly_transitive_from_scores,
     to_additive,
     to_multiplicative,
@@ -618,6 +620,31 @@ def test_principal_of_hadamard_product_with_transitive_factor(rand_add):
     v_plain = principal_scores(x).eigenvector.first_unit().values
     s_unit = s.first_unit().values
     np.testing.assert_allclose(v_prod, v_plain * s_unit, rtol=1e-8)
+
+
+def _ranking_or_refusal(scores, m: ComparisonMatrix):
+    try:
+        return rank_of(scores(m))
+    except (TieDetected, NoConvergence) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_rankings_are_relabel_equivariant_for_all_three_methods(n):
+    solvers = {"hodge": hodge_scores,
+               "tropical": lambda a: tropical_solve(a).eigenvector,
+               "principal": lambda a: principal_scores(to_multiplicative(a)).eigenvector}
+    rng = np.random.default_rng(40 + n)
+    for trial in range(60):
+        # integer entries in -3..3 tie often; the method must then refuse both sides
+        g = rng.normal(size=(n, n)) if trial % 2 else rng.integers(-3, 4, (n, n)).astype(float)
+        a = ComparisonMatrix(np.triu(g, 1) - np.triu(g, 1).T, Scale.ADDITIVE)
+        tau = tuple(int(v) + 1 for v in rng.permutation(n))
+        for name, scores in solvers.items():
+            expected = _ranking_or_refusal(scores, a)
+            if isinstance(expected, Ranking):
+                expected = relabel_ranking(expected, tau)
+            assert _ranking_or_refusal(scores, relabel(a, tau)) == expected, (name, trial, tau)
 
 
 # -- the three-item collapse ---------------------------------------------------

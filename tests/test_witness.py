@@ -2,6 +2,7 @@ import collections
 import contextlib
 import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from pairrank import methods, witness
 from pairrank.core import (
+    ComparisonMatrix,
     Ranking,
     Scale,
     is_strongly_transitive,
@@ -149,6 +151,20 @@ def test_n_only_constructions_match_an_uncached_build(n):
     fresh_spec, fresh_flat, fresh_rank = witness._flat_perturbation.__wrapped__(n)
     assert (spec, flat_rank) == (fresh_spec, fresh_rank)
     assert flat.entries.tobytes() == fresh_flat.entries.tobytes()
+
+
+@pytest.mark.parametrize("n", [77, 80])
+def test_base_construction_failure_at_large_n_names_its_stage(n):
+    # a valid base the tropical solver cannot certify is the construction's
+    # failure, not an invalid input
+    sigma1, sigma2 = Ranking(tuple(range(1, n + 1))), Ranking(tuple(range(n, 0, -1)))
+    for pair in (Pair.HODGE_TROPICAL, Pair.HODGE_PRINCIPAL):
+        try:
+            res = generate_witness(WitnessRequest(n, pair, sigma1, sigma2))
+        except ConstructionFailed as exc:
+            assert f"n={n}" in str(exc)
+        else:
+            assert (res.verification.ranking1, res.verification.ranking2) == (sigma1, sigma2)
 
 
 # -- hodge vs tropical ---------------------------------------------------------
@@ -407,7 +423,8 @@ def _outcome(req, base):
             v.scores2.values.tobytes(), v.ranking1, v.ranking2)
 
 
-def test_tropical_principal_screen_accepts_what_a_one_by_one_search_does(monkeypatch):
+def test_tropical_principal_screen_accepts_what_a_one_by_one_search_does(monkeypatch,
+                                                                          perron_ranking):
     rng = np.random.default_rng(23)
     requests = [(WitnessRequest(n, Pair.TROPICAL_PRINCIPAL,
                                 random_ranking(rng, n), random_ranking(rng, n)), base)
@@ -415,11 +432,20 @@ def test_tropical_principal_screen_accepts_what_a_one_by_one_search_does(monkeyp
                 for _ in range(2)]
     requests.append((WitnessRequest(5, Pair.TROPICAL_PRINCIPAL, Ranking((1, 2, 3, 4, 5)),
                                     Ranking((5, 4, 3, 2, 1))), 1e78))
-    screened = [_outcome(req, base) for req, base in requests]
-    monkeypatch.setattr(witness, "_first_verified", _one_by_one)
-    assert [_outcome(req, base) for req, base in requests] == screened
-    assert screened[-1] == "base 1e+78 takes the witness entries out of float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        screened = [_outcome(req, base) for req, base in requests]
+        monkeypatch.setattr(witness, "_first_verified", _one_by_one)
+        assert [_outcome(req, base) for req, base in requests] == screened
     assert sum(isinstance(out, tuple) for out in screened) > len(requests) // 2
+    # at base 1e78 the k = 1 matrix would need 1e312; a smaller k fits and certifies
+    entries, params, *_, ranking1, ranking2 = screened[-1]
+    assert params.k < 1.0
+    assert (ranking1, ranking2) == (Ranking((1, 2, 3, 4, 5)), Ranking((5, 4, 3, 2, 1)))
+    x = np.frombuffer(entries).reshape(5, 5)
+    tropical = tropical_solve(to_additive(ComparisonMatrix(x, Scale.MULTIPLICATIVE)))
+    assert rank_of(tropical.eigenvector) == ranking1
+    assert perron_ranking(x) == ranking2
 
 
 # -- dispatcher ----------------------------------------------------------------
